@@ -1,8 +1,7 @@
 """Pauli matrices, Pauli-string stacks, and the Dicke-to-computational embedding.
 
 Axis encoding is fixed everywhere: x -> 0, y -> 1, z -> 2, leftmost axis most
-significant in base-3 multi-index codes.  Strings over {0, x, y, z} use "0" for
-the single-qubit identity slot.
+significant in base-3 multi-index codes.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 # Stack indexed by axis code 0..2.
 SIGMA = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 SIGMA.setflags(write=False)
-
-PAULI_BY_SYMBOL = {"0": IDENTITY_2, "x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 # Dense 2^n matrices get big fast; 4096 x 4096 is the largest we ever build.
 MAX_FULL_QUBITS = 12
@@ -70,48 +67,3 @@ def dicke_to_computational(dicke_matrix: np.ndarray) -> np.ndarray:
     n = dicke_matrix.shape[0] - 1
     basis = dicke_basis_matrix(n)
     return basis @ dicke_matrix @ basis.conj().T
-
-
-@lru_cache(maxsize=2048)
-def _kron_chain(symbols: tuple[str, ...]) -> np.ndarray:
-    """Literal Kronecker product of single-qubit factors; cached for short chains."""
-    out = PAULI_BY_SYMBOL[symbols[0]]
-    for s in symbols[1:]:
-        out = np.kron(out, PAULI_BY_SYMBOL[s])
-    return out
-
-
-def pauli_string_matrix(symbols: tuple[str, ...]) -> np.ndarray:
-    """Dense matrix for a string over {0, x, y, z}, built by plain kron."""
-    for s in symbols:
-        if s not in PAULI_BY_SYMBOL:
-            raise ValueError(f"unknown Pauli symbol {s!r}")
-    if len(symbols) <= 4:
-        return _kron_chain(symbols)
-    out = _kron_chain(symbols[:4])
-    for s in symbols[4:]:
-        out = np.kron(out, PAULI_BY_SYMBOL[s])
-    return out
-
-
-def trace_against_string(matrix: np.ndarray, symbols: tuple[str, ...]) -> complex:
-    """Tr[M * (s_1 x ... x s_n)] without materializing the full string.
-
-    The string is split into chunks of at most four factors; each chunk is a
-    cached dense matrix and the trace is a single contraction over the chunked
-    reshape of M.
-    """
-    n = len(symbols)
-    chunks = [symbols[i : i + 4] for i in range(0, n, 4)]
-    mats = [_kron_chain(c) for c in chunks]
-    dims = [1 << len(c) for c in chunks]
-    block = matrix.reshape(tuple(dims) * 2)
-    if len(mats) == 1:
-        return complex(np.einsum("ab,ba->", block, mats[0]))
-    if len(mats) == 2:
-        return complex(np.einsum("abcd,ca,db->", block, mats[0], mats[1]))
-    if len(mats) == 3:
-        return complex(
-            np.einsum("abcdef,da,eb,fc->", block, mats[0], mats[1], mats[2])
-        )
-    raise ValueError(f"strings longer than {MAX_FULL_QUBITS} qubits are unsupported")

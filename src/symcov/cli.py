@@ -20,6 +20,7 @@ from . import oracle
 from .covariance import covariance_matrix, min_eigenvalue, report_to_payload, test_entanglement
 from .scanner import (
     Detector,
+    _bracket_sign_change,
     analytic_thresholds,
     detector_value,
     scan_threshold,
@@ -261,27 +262,14 @@ def _within_two_sig_figs(computed: float, reference: float) -> bool:
 def _pairwise_ppt_threshold(
     family: Callable[[float], SymmetricState], tol: float = 1e-6, grid: int = 64
 ) -> Optional[float]:
-    """Bisection on the 2-qubit marginal's partial-transpose minimum eigenvalue."""
+    """Threshold where the 2-qubit marginal's partial transpose turns negative."""
 
     def value(x: float) -> float:
         fs = oracle.ptrace_full(oracle.embed_full(family(x)), 2)
         return oracle.ppt_min_eigenvalue(fs)
 
-    xs = np.linspace(0.0, 1.0, grid)
-    vals = [value(x) for x in xs]
-    first = next((i for i, v in enumerate(vals) if v < 0.0), None)
-    if first is None:
-        return None
-    if first == 0:
-        return 0.0
-    lo, hi = xs[first - 1], xs[first]
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if value(mid) < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return (lo + hi) / 2.0
+    bracket, _ = _bracket_sign_change(value, tol, grid)
+    return None if bracket is None else (bracket[0] + bracket[1]) / 2.0
 
 
 def _reproduce_rows() -> list[dict[str, Any]]:

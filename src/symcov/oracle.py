@@ -1,31 +1,35 @@
 """Brute-force ground truth in the full 2^N space.
 
-Everything here is deliberately direct: dense density matrices, literal
-Pauli-string expectations, reshape-based partial traces and partial
-transposes.  Slow but obvious, so the compact Dicke-basis code paths can be
+Everything here is deliberately direct: dense density matrices, one Pauli
+transform of the full matrix, reshape-based partial traces and partial
+transposes.  Nothing reads the compact Dicke-basis code paths, so they can be
 checked against it entrywise.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.transform import Rotation
 
 from ._pauli import (
-    AXES,
+    IDENTITY_2,
     MAX_FULL_QUBITS,
     SIGMA,
     dicke_basis_matrix,
-    pauli_string_matrix,
-    trace_against_string,
+    pauli_string_stack,
 )
 from .states import BlochDirection, SymmetricState, product_state
 
 IMAG_ATOL = 1e-10
 DENSITY_ATOL = 1e-10
+
+# Row a, column 2*r + c holds (I, X, Y, Z)[a][c, r], so contracting it with
+# M[r, c] gives Tr[M sigma_a] on one qubit.
+_PAULI_TRACE_MAP = (
+    np.concatenate([IDENTITY_2[None], SIGMA]).transpose(0, 2, 1).reshape(4, 4)
+)
 
 
 class ConsistencyError(ArithmeticError):
@@ -98,31 +102,38 @@ def project_to_dicke(fs: FullState) -> SymmetricState:
     return SymmetricState(fs.n_qubits, compact)
 
 
-def pauli_expectation(fs: FullState, axes: tuple[str, ...]) -> float:
-    """Tr[rho * (sigma_{a_1} x ... x sigma_{a_N})] with axes over {0, x, y, z}."""
-    if len(axes) != fs.n_qubits:
-        raise ValueError(
-            f"need {fs.n_qubits} axis symbols, got {len(axes)}"
-        )
-    value = trace_against_string(fs.matrix, tuple(axes))
-    if abs(value.imag) > IMAG_ATOL:
+def pauli_transform(matrix: np.ndarray) -> np.ndarray:
+    """Every Pauli expectation Tr[M (s_1 x ... x s_m)] of a 2^m x 2^m matrix.
+
+    Returns a real (4,) * m array indexed 0 = identity, 1 = x, 2 = y, 3 = z
+    per qubit, leftmost qubit first.  The matrix is contracted one qubit at a
+    time against (I, X, Y, Z), O(m 4^m) in total.
+    """
+    m = np.asarray(matrix)
+    dim = m.shape[0] if m.ndim == 2 else 0
+    n = dim.bit_length() - 1
+    if n < 1 or m.shape != (1 << n, 1 << n):
+        raise ValueError(f"need a 2^m x 2^m matrix with m >= 1, got shape {m.shape}")
+    # (r_1..r_m, c_1..c_m) -> (r_1 c_1, ..., r_m c_m): one length-4 axis per qubit
+    order = np.arange(2 * n).reshape(2, n).T.ravel()
+    values = m.reshape((2,) * (2 * n)).transpose(order).reshape((4,) * n)
+    for _ in range(n):
+        # contract the leading qubit; its Pauli axis is appended at the end
+        values = np.tensordot(values, _PAULI_TRACE_MAP, axes=(0, 1))
+    residual = float(np.abs(values.imag).max())
+    if residual > IMAG_ATOL:
         raise ConsistencyError(
-            f"Pauli expectation should be real, got imaginary part {value.imag:g}"
+            f"Pauli expectations should be real, got imaginary part {residual:g}"
         )
-    return float(value.real)
+    return np.ascontiguousarray(values.real)
 
 
 def correlation_tensor_oracle(fs: FullState, order: int) -> np.ndarray:
-    """Order-l moment array computed string by string, identity-padded to N qubits."""
+    """Order-l moment array: the x/y/z entries of the first l qubits' transform."""
     n = fs.n_qubits
     if not 1 <= order <= n:
         raise ValueError(f"order must lie in 1..{n}, got {order}")
-    pad = ("0",) * (n - order)
-    values = np.empty((3,) * order)
-    for axes in itertools.product(AXES, repeat=order):
-        codes = tuple("xyz".index(a) for a in axes)
-        values[codes] = pauli_expectation(fs, axes + pad)
-    return values
+    return pauli_transform(ptrace_full(fs, order).matrix)[(slice(1, None),) * order]
 
 
 def covariance_oracle(fs: FullState, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,11 +145,9 @@ def covariance_oracle(fs: FullState, k: int) -> tuple[np.ndarray, np.ndarray]:
     tk = correlation_tensor_oracle(fs, k).reshape(-1)
     c_block = t2k - np.outer(tk, tk)
     rho_k = ptrace_full(fs, k).matrix
-    strings = [pauli_string_matrix(axes) for axes in itertools.product(AXES, repeat=k)]
-    gram = np.empty((3**k, 3**k), dtype=complex)
-    for i, si in enumerate(strings):
-        for j, sj in enumerate(strings):
-            gram[i, j] = np.trace(rho_k @ si @ sj)
+    strings = pauli_string_stack(k)
+    # gram[i, j] = Tr[rho_k s_i s_j]
+    gram = np.einsum("ab,ibc,jca->ij", rho_k, strings, strings, optimize=True)
     sym = (gram + gram.T) / 2.0
     if np.abs(sym.imag).max() > IMAG_ATOL:
         raise ConsistencyError("symmetrized intra-group moments should be real")

@@ -90,14 +90,52 @@ def detector_value(rho: SymmetricState, detector: Detector) -> float:
     return float(t2k[code, code])
 
 
-def _grid_is_smooth(xs: np.ndarray, values: np.ndarray) -> bool:
+def _grid_is_smooth(values: np.ndarray) -> bool:
     """Flag families whose grid profile jumps far beyond the typical slope."""
     steps = np.abs(np.diff(values))
-    spacing = xs[1] - xs[0]
     typical = float(np.median(steps))
     if typical <= 0.0:
         return True
     return bool(steps.max() < 10.0 * typical)
+
+
+def _bracket_sign_change(
+    value: Callable[[float], float], tol: float, grid: int
+) -> tuple[Optional[tuple[float, float]], bool]:
+    """Bracket the first x in [0, 1] where value turns negative, and grid smoothness.
+
+    A uniform grid keeps the smallest sign-change bracket, bisection shrinks
+    it below tol or to adjacent floats, and both ends are re-evaluated before
+    the bracket is returned.  The bracket is None when no grid point is
+    negative and (0, 0) when x = 0 already is.
+    """
+    if tol <= 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    if grid < 8:
+        raise ValueError(f"grid must have at least 8 points, got {grid}")
+    xs = np.linspace(0.0, 1.0, grid)
+    values = np.array([value(x) for x in xs])
+    smooth = _grid_is_smooth(values)
+    negative = np.flatnonzero(values < -SIGN_EPS)
+    if negative.size == 0:
+        return None, smooth
+    first = int(negative[0])
+    if first == 0:
+        return (0.0, 0.0), smooth
+    lo, hi = float(xs[first - 1]), float(xs[first])
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats
+        if value(mid) < -SIGN_EPS:
+            hi = mid
+        else:
+            lo = mid
+    if value(lo) < -SIGN_EPS or value(hi) >= -SIGN_EPS:
+        raise ArithmeticError(
+            f"bracket signs failed re-verification at ({lo}, {hi})"
+        )
+    return (lo, hi), smooth
 
 
 def scan_threshold(
@@ -111,41 +149,20 @@ def scan_threshold(
 
     A uniform grid over [0, 1] guards against non-monotone profiles (the
     smallest sign-change bracket is kept and the profile smoothness is
-    recorded); bisection then shrinks the bracket below tol.  Returns a
-    result with threshold None when no grid point is negative.
+    recorded); bisection then shrinks the bracket below tol, or to float
+    resolution when tol is finer.  Returns a result with threshold None when
+    no grid point is negative.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if grid < 8:
-        raise ValueError(f"grid must have at least 8 points, got {grid}")
-    xs = np.linspace(0.0, 1.0, grid)
-    values = np.array([detector_value(family(x), detector) for x in xs])
-    smooth = _grid_is_smooth(xs, values)
-    negative = np.flatnonzero(values < -SIGN_EPS)
-    if negative.size == 0:
+    bracket, smooth = _bracket_sign_change(
+        lambda x: detector_value(family(x), detector), tol, grid
+    )
+    if bracket is None:
         return ScanResult(detector, None, None, None, smooth, family_desc)
-    first = int(negative[0])
-    if first == 0:
-        # already negative at x = 0; the entire range is detected
-        return ScanResult(detector, 0.0, (0.0, 0.0), 0.0, smooth, family_desc)
-    lo, hi = float(xs[first - 1]), float(xs[first])
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if detector_value(family(mid), detector) < -SIGN_EPS:
-            hi = mid
-        else:
-            lo = mid
-    if (
-        detector_value(family(lo), detector) < -SIGN_EPS
-        or detector_value(family(hi), detector) >= -SIGN_EPS
-    ):
-        raise ArithmeticError(
-            f"bracket signs failed re-verification at ({lo}, {hi})"
-        )
+    lo, hi = bracket
     return ScanResult(
         detector,
         threshold=(lo + hi) / 2.0,
-        bracket=(lo, hi),
+        bracket=bracket,
         resolution=hi - lo,
         smooth=smooth,
         family=family_desc,

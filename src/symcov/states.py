@@ -9,6 +9,7 @@ raising, for use as a diagnostic.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from math import comb
 from typing import Any, Callable
@@ -27,16 +28,19 @@ TWO_PI = 2.0 * np.pi
 class BlochDirection:
     """Direction of a single-qubit pure state: polar theta, azimuth phi.
 
-    Angles are canonicalized on construction to theta in [0, pi] and
-    phi in [0, 2*pi).
+    Angles must be finite and are canonicalized on construction to theta in
+    [0, pi] and phi in [0, 2*pi).
     """
 
     theta: float
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        theta = float(self.theta) % TWO_PI
+        theta = float(self.theta)
         phi = float(self.phi)
+        if not (np.isfinite(theta) and np.isfinite(phi)):
+            raise ValueError(f"Bloch angles must be finite, got theta={theta}, phi={phi}")
+        theta %= TWO_PI
         if theta > np.pi:
             theta = TWO_PI - theta
             phi += np.pi
@@ -221,12 +225,21 @@ def validate(rho: SymmetricState) -> ValidationReport:
 _PURE_FAMILIES = ("ghz", "w", "dicke", "product")
 
 
+def _integer_field(desc: dict[str, Any], key: str) -> int:
+    """An integer-valued description field; floats and booleans are refused."""
+    value = desc[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def state_from_description(desc: dict[str, Any]) -> SymmetricState:
     """Build a state from the family-description document used by the CLI.
 
     Families: {"family": "ghz"|"w"|"dicke", "n_qubits": N, "p": int},
     {"family": "product", "n_qubits": N, "theta": float, "phi": float},
     {"family": "noisy", "x": float, "base": <pure family description>}.
+    N and p must be integers; floats and booleans are refused, not truncated.
     """
     if not isinstance(desc, dict):
         raise ValueError(f"state description must be an object, got {type(desc)}")
@@ -243,7 +256,7 @@ def state_from_description(desc: dict[str, Any]) -> SymmetricState:
     if family not in _PURE_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     try:
-        n = int(desc["n_qubits"])
+        n = _integer_field(desc, "n_qubits")
     except KeyError:
         raise ValueError(f"family {family!r} needs 'n_qubits'") from None
     if family == "ghz":
@@ -253,7 +266,7 @@ def state_from_description(desc: dict[str, Any]) -> SymmetricState:
     if family == "dicke":
         if "p" not in desc:
             raise ValueError("dicke description needs an excitation count 'p'")
-        return dicke_state(n, int(desc["p"]))
+        return dicke_state(n, _integer_field(desc, "p"))
     if "theta" not in desc:
         raise ValueError("product description needs a polar angle 'theta'")
     return product_state(

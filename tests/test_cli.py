@@ -48,6 +48,24 @@ def test_exit_code_usage_error_malformed_json(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "desc",
+    [
+        '{"family":"ghz","n_qubits":4.7}',
+        '{"family":"w","n_qubits":true}',
+        '{"family":"dicke","n_qubits":4,"p":1.9}',
+        '{"family":"product","n_qubits":2,"theta":NaN}',
+    ],
+)
+def test_exit_code_usage_error_coercible_description(capsys, desc):
+    code = main(["state", "--state", desc])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_exit_code_usage_error_missing_file(capsys):
     code = main(["state", "--state", "/nonexistent/state.json"])
     assert code == 2

@@ -1,5 +1,8 @@
 """The brute-force reference implementations validate themselves here."""
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,7 +11,13 @@ from symcov import oracle
 from symcov.covariance import covariance_matrix
 from symcov.states import dicke_state, ghz_state, maximally_mixed_state, w_state
 from symcov.tensors import correlation_tensor
-from symcov._pauli import pauli_string_matrix, trace_against_string
+
+PAULI_2x2 = (
+    np.eye(2),
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+    np.array([[1.0, 0.0], [0.0, -1.0]]),
+)
 
 
 def test_embed_single_excitation_pair():
@@ -53,35 +62,44 @@ def test_embedded_states_are_permutation_invariant(rng):
 def test_pauli_expectation_identity_string(rng):
     n = 4
     fs = oracle.embed_full(oracle.random_symmetric_state(n, seed=rng))
-    assert oracle.pauli_expectation(fs, ("0",) * n) == pytest.approx(1.0, abs=1e-12)
+    assert oracle.pauli_transform(fs.matrix)[(0,) * n] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pauli_expectation_ghz2_yy():
     fs = oracle.embed_full(ghz_state(2))
-    assert oracle.pauli_expectation(fs, ("y", "y")) == pytest.approx(-1.0)
+    assert oracle.pauli_transform(fs.matrix)[2, 2] == pytest.approx(-1.0)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_pauli_expectation_w_all_z(n):
     fs = oracle.embed_full(w_state(n))
-    assert oracle.pauli_expectation(fs, ("z",) * n) == pytest.approx(-1.0)
+    assert oracle.pauli_transform(fs.matrix)[(3,) * n] == pytest.approx(-1.0)
 
 
 def test_pauli_expectation_rejects_wrong_length():
-    fs = oracle.embed_full(ghz_state(3))
-    with pytest.raises(ValueError):
-        oracle.pauli_expectation(fs, ("x", "y"))
+    for bad in (np.eye(6), np.eye(8)[:, :4], np.ones(8), np.eye(1)):
+        with pytest.raises(ValueError):
+            oracle.pauli_transform(bad)
 
 
-def test_chunked_trace_matches_literal_kron(rng):
-    symbols = np.array(["0", "x", "y", "z"])
-    for _ in range(10):
-        n = int(rng.integers(2, 8))
-        fs = oracle.embed_full(oracle.random_symmetric_state(n, seed=rng))
-        axes = tuple(symbols[rng.integers(0, 4, size=n)])
-        fast = trace_against_string(fs.matrix, axes)
-        literal = complex(np.trace(fs.matrix @ pauli_string_matrix(axes)))
-        assert fast == pytest.approx(literal, abs=1e-12)
+def test_pauli_transform_matches_literal_kron(rng):
+    # Hermitian but not permutation-symmetric, so a swapped qubit or slot shows
+    for n in range(1, 5):
+        dim = 1 << n
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        matrix = g + g.conj().T
+        values = oracle.pauli_transform(matrix)
+        assert values.shape == (4,) * n
+        for codes in itertools.product(range(4), repeat=n):
+            string = functools.reduce(np.kron, (PAULI_2x2[c] for c in codes))
+            literal = complex(np.trace(matrix @ string))
+            assert abs(literal.imag) <= 1e-12
+            assert values[codes] == pytest.approx(literal.real, abs=1e-12)
+
+
+def test_pauli_transform_rejects_non_hermitian_input():
+    with pytest.raises(oracle.ConsistencyError):
+        oracle.pauli_transform(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_oracle_tensor_matches_compact_path(rng):

@@ -1,5 +1,6 @@
 """Detectors, threshold scans and the closed-form threshold table."""
 
+import numpy as np
 import pytest
 
 from symcov.scanner import (
@@ -62,6 +63,19 @@ def test_scan_bracket_signs():
     lo, hi = result.bracket
     assert detector_value(family(lo), det) >= -1e-12
     assert detector_value(family(hi), det) < 0.0
+
+
+def test_scan_stops_at_float_resolution():
+    # a tolerance below float spacing ends bisection on adjacent floats
+    det = Detector("min_eig", 1)
+    family = noisy_family(ghz_state(2))
+    result = scan_threshold(family, det, tol=1e-300)
+    lo, hi = result.bracket
+    assert lo < hi
+    assert np.nextafter(lo, 1.0) == hi
+    assert result.threshold == pytest.approx(0.25, abs=1e-12)
+    assert detector_value(family(lo), det) >= -1e-12
+    assert detector_value(family(hi), det) < -1e-12
 
 
 def test_scan_returns_none_when_never_negative():

@@ -294,6 +294,13 @@ def test_state_from_description_families():
         {"family": "noisy", "base": {"family": "ghz", "n_qubits": 2}},
         {"family": "noisy", "x": 0.5},
         {"family": "product", "n_qubits": 2},
+        {"family": "ghz", "n_qubits": 4.7},
+        {"family": "ghz", "n_qubits": 4.0},
+        {"family": "w", "n_qubits": True},
+        {"family": "dicke", "n_qubits": 4, "p": 1.9},
+        {"family": "dicke", "n_qubits": 4, "p": False},
+        {"family": "product", "n_qubits": 2, "theta": float("nan")},
+        {"family": "product", "n_qubits": 2, "theta": 0.5, "phi": float("inf")},
     ],
 )
 def test_state_from_description_rejects_malformed(desc):
