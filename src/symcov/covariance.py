@@ -168,21 +168,33 @@ def principal_minor_search(
         raise ValueError(f"max_order must be >= 1, got {max_order}")
     c = cm.c_block
     side = c.shape[0]
-    for i in range(side):
-        if c[i, i] < -tol:
-            return MinorCertificate((i,), float(c[i, i]))
-    for order in range(2, min(max_order, side) + 1):
-        for rows in itertools.combinations(range(side), order):
-            sub = c[np.ix_(rows, rows)]
-            if order == 2:
-                minor = sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0]
-            else:
-                minor = np.linalg.det(sub)
-            if minor < -tol:
-                check = float(np.linalg.det(c[np.ix_(rows, rows)]))
-                if check < 0.0:
-                    return MinorCertificate(tuple(rows), check)
+    diag = np.diagonal(c)
+    negative = np.flatnonzero(diag < -tol)
+    if negative.size:
+        i = int(negative[0])
+        return MinorCertificate((i,), float(c[i, i]))
+    if max_order >= 2:
+        # Every 2x2 minor at once; triu_indices is row-major, the order
+        # itertools.combinations would visit the pairs in.
+        rows, cols = np.triu_indices(side, 1)
+        minors = diag[rows] * diag[cols] - c[rows, cols] * c[cols, rows]
+        for hit in np.flatnonzero(minors < -tol):
+            certificate = _checked_minor(c, (int(rows[hit]), int(cols[hit])))
+            if certificate is not None:
+                return certificate
+    for order in range(3, min(max_order, side) + 1):
+        for idx in itertools.combinations(range(side), order):
+            if np.linalg.det(c[np.ix_(idx, idx)]) < -tol:
+                certificate = _checked_minor(c, idx)
+                if certificate is not None:
+                    return certificate
     return None
+
+
+def _checked_minor(c: np.ndarray, idx: tuple[int, ...]) -> Optional[MinorCertificate]:
+    """Re-evaluate a candidate minor from the block; None unless truly negative."""
+    check = float(np.linalg.det(c[np.ix_(idx, idx)]))
+    return MinorCertificate(idx, check) if check < 0.0 else None
 
 
 def test_entanglement(

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from ._pauli import (
     IDENTITY_2,
@@ -230,6 +229,10 @@ def su2_from_rotation(r_matrix: np.ndarray) -> np.ndarray:
     Convention: U^dag sigma_i U = sum_j R[i, j] sigma_j, so moment columns
     transform as T' = R T when the state is conjugated by U on every qubit.
     """
+    # scipy is imported here, not at module scope, so that importing symcov
+    # (and the CLI, which never rotates) loads numpy only.
+    from scipy.spatial.transform import Rotation
+
     rotvec = Rotation.from_matrix(np.asarray(r_matrix, dtype=float)).as_rotvec()
     angle = float(np.linalg.norm(rotvec))
     if angle < 1e-15:
@@ -251,6 +254,8 @@ def rotated_symmetric_state(rho: SymmetricState, r_matrix: np.ndarray) -> Symmet
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Uniformly random SO(3) matrix from a random rotation vector."""
+    from scipy.spatial.transform import Rotation
+
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
     angle = rng.uniform(0.0, np.pi)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from math import comb
+from math import comb, lgamma
 from typing import Any, Callable
 
 import numpy as np
@@ -138,14 +138,30 @@ def product_state(n_qubits: int, direction: BlochDirection) -> SymmetricState:
 
     In the Dicke basis the amplitude at p excitations is
     sqrt(C(N, p)) * cos(theta/2)^(N-p) * (e^{i phi} sin(theta/2))^p.
+    Magnitudes are formed in log space, so C(N, p) never has to fit a float
+    or an integer array; the poles theta = 0 and theta = pi are exact.
     """
     if n_qubits < 1:
         raise ValueError(f"need at least one qubit, got {n_qubits}")
-    a0, a1 = direction.amplitudes()
-    p = np.arange(n_qubits + 1)
-    weights = np.sqrt([comb(n_qubits, int(q)) for q in p])
-    vec = weights * a0 ** (n_qubits - p) * a1**p
-    return _pure(n_qubits, vec)
+    n = n_qubits
+    cos_half = np.cos(direction.theta / 2.0)
+    sin_half = np.sin(direction.theta / 2.0)  # 0.0 also for subnormal theta
+    vec = np.zeros(n + 1, dtype=complex)
+    if sin_half == 0.0:
+        vec[0] = 1.0
+    elif direction.theta == np.pi:
+        vec[n] = np.exp(1j * n * direction.phi)
+    else:
+        p = np.arange(n + 1)
+        log_fact = np.array([lgamma(q + 1) for q in range(n + 1)])
+        log_mag = (
+            0.5 * (log_fact[n] - log_fact - log_fact[::-1])
+            + (n - p) * np.log(cos_half)
+            + p * np.log(sin_half)
+        )
+        vec = np.exp(log_mag - log_mag.max() + 1j * p * direction.phi)
+        vec /= np.linalg.norm(vec)
+    return _pure(n, vec)
 
 
 def maximally_mixed_state(n_qubits: int) -> SymmetricState:
@@ -233,6 +249,14 @@ def _integer_field(desc: dict[str, Any], key: str) -> int:
     return int(value)
 
 
+def _real_field(desc: dict[str, Any], key: str) -> float:
+    """A real-valued description field; booleans and strings are refused."""
+    value = desc[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key!r} must be a real number, got {value!r}")
+    return float(value)
+
+
 def state_from_description(desc: dict[str, Any]) -> SymmetricState:
     """Build a state from the family-description document used by the CLI.
 
@@ -240,6 +264,7 @@ def state_from_description(desc: dict[str, Any]) -> SymmetricState:
     {"family": "product", "n_qubits": N, "theta": float, "phi": float},
     {"family": "noisy", "x": float, "base": <pure family description>}.
     N and p must be integers; floats and booleans are refused, not truncated.
+    x, theta and phi must be real numbers; booleans and strings are refused.
     """
     if not isinstance(desc, dict):
         raise ValueError(f"state description must be an object, got {type(desc)}")
@@ -252,7 +277,7 @@ def state_from_description(desc: dict[str, Any]) -> SymmetricState:
             raise ValueError("noisy description needs a 'base' state")
         if "x" not in desc or desc["x"] is None:
             raise ValueError("noisy description needs a mixing parameter 'x'")
-        return noisy_mixture(state_from_description(desc["base"]), float(desc["x"]))
+        return noisy_mixture(state_from_description(desc["base"]), _real_field(desc, "x"))
     if family not in _PURE_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     try:
@@ -269,9 +294,8 @@ def state_from_description(desc: dict[str, Any]) -> SymmetricState:
         return dicke_state(n, _integer_field(desc, "p"))
     if "theta" not in desc:
         raise ValueError("product description needs a polar angle 'theta'")
-    return product_state(
-        n, BlochDirection(float(desc["theta"]), float(desc.get("phi", 0.0)))
-    )
+    phi = _real_field(desc, "phi") if "phi" in desc else 0.0
+    return product_state(n, BlochDirection(_real_field(desc, "theta"), phi))
 
 
 def state_to_payload(rho: SymmetricState) -> dict[str, Any]:

@@ -55,6 +55,7 @@ def test_exit_code_usage_error_malformed_json(capsys):
         '{"family":"w","n_qubits":true}',
         '{"family":"dicke","n_qubits":4,"p":1.9}',
         '{"family":"product","n_qubits":2,"theta":NaN}',
+        '{"family":"noisy","x":true,"base":{"family":"w","n_qubits":4}}',
     ],
 )
 def test_exit_code_usage_error_coercible_description(capsys, desc):
@@ -64,6 +65,16 @@ def test_exit_code_usage_error_coercible_description(capsys, desc):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_large_product_state_is_not_detected(capsys):
+    # C(100, 50) does not fit uint64; the state must still build
+    desc = '{"family":"product","n_qubits":100,"theta":1.0}'
+    code = main(["test", "--state", desc, "--k", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["entangled"] is False
+    assert captured.err == ""
 
 
 def test_exit_code_usage_error_missing_file(capsys):

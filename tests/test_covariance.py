@@ -1,5 +1,7 @@
 """Covariance blocks, the variance matrix, rotations and the negativity test."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -162,6 +164,65 @@ def test_minor_search_respects_max_order():
     c = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     cm = CovarianceMatrix(1, c, np.eye(3))
     assert principal_minor_search(cm, max_order=1) is None
+
+
+def _literal_minor_search(c, tol):
+    """Orders 1 and 2 as a plain loop over itertools.combinations."""
+    side = c.shape[0]
+    for i in range(side):
+        if c[i, i] < -tol:
+            return (i,), float(c[i, i])
+    for rows in itertools.combinations(range(side), 2):
+        i, j = rows
+        if c[i, i] * c[j, j] - c[i, j] * c[j, i] < -tol:
+            check = float(np.linalg.det(c[np.ix_(rows, rows)]))
+            if check < 0.0:
+                return rows, check
+    return None
+
+
+def _plant_negative_pairs(c, pairs):
+    """Copy of c whose 2x2 minors on the given index pairs are negative."""
+    c = c.copy()
+    for i, j in pairs:
+        c[i, j] = c[j, i] = 1.5 * np.sqrt(c[i, i] * c[j, j])
+    return c
+
+
+def _parity_blocks(rng, k):
+    """Random symmetric 3^k blocks for the minor-search parity test."""
+    side = 3**k
+    g = rng.standard_normal((side, max(2, side // 2)))
+    psd = g @ g.T / g.shape[1]
+    yield psd  # no negative minor
+    pairs = [sorted(rng.choice(side, size=2, replace=False)) for _ in range(3)]
+    yield _plant_negative_pairs(psd, pairs)
+    h = rng.standard_normal((side, side))
+    generic = (h + h.T) / 2.0
+    yield generic  # a negative diagonal entry is likely
+    np.fill_diagonal(generic, np.abs(np.diagonal(generic)) + 0.1)
+    yield generic  # many negative 2x2 minors; the first in row-major order wins
+    # unit vectors in a plane: every 2x2 minor is sin^2 of an angle, so many
+    # are small but positive, plus one negative pair at the end of the order
+    angles = rng.uniform(0.0, np.pi, side)
+    planar = np.cos(angles[:, None] - angles[None, :])
+    yield _plant_negative_pairs(planar, [(side - 2, side - 1)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_minor_search_matches_literal_loop(rng, k):
+    for c in _parity_blocks(rng, k):
+        cm = CovarianceMatrix(k, c, np.eye(3**k))
+        # a negative tol admits positive 2x2 candidates, which the det
+        # re-check must reject before the search moves on
+        for tol in (1e-9, -0.05):
+            expected = _literal_minor_search(cm.c_block, tol)
+            cert = principal_minor_search(cm, max_order=2, tol=tol)
+            if expected is None:
+                assert cert is None
+            else:
+                assert cert is not None
+                assert (cert.indices, cert.value) == expected
 
 
 def test_eigen_path_when_minors_stay_positive():

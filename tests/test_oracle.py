@@ -2,6 +2,9 @@
 
 import functools
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -200,6 +203,25 @@ def test_su2_conjugation_matches_rotation(rng):
             lhs = u.conj().T @ SIGMA[i] @ u
             rhs = sum(r[i, j] * SIGMA[j] for j in range(3))
             assert_allclose(lhs, rhs, atol=1e-12)
+
+
+def test_import_loads_no_scipy(rng):
+    # scipy is only for the rotation helpers, imported when they are called
+    import symcov
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(symcov.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, symcov, symcov.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+    u = oracle.su2_from_rotation(oracle.random_rotation(rng))
+    assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
 
 
 def test_rotated_state_first_moments_transform_linearly(rng):

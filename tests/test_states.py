@@ -95,6 +95,32 @@ def test_product_state_equator_amplitudes():
     assert_allclose(rho.dicke_matrix, np.outer(vec, vec), atol=1e-15)
 
 
+def test_product_state_matches_binomial_formula(rng):
+    # the log-space amplitudes agree with sqrt(C(N, p)) a0^(N-p) a1^p
+    # wherever that direct formula still fits in floats
+    from math import comb
+
+    for n in range(1, 61):
+        thetas = [0.0, 5e-324, np.pi, 1e-9, np.pi - 1e-9, *rng.uniform(0.0, np.pi, 4)]
+        for theta in thetas:
+            d = BlochDirection(theta, rng.uniform(0.0, 2.0 * np.pi))
+            a0, a1 = d.amplitudes()
+            p = np.arange(n + 1)
+            weights = np.sqrt([float(comb(n, int(q))) for q in p])
+            vec = weights * a0 ** (n - p) * a1**p
+            assert_allclose(
+                product_state(n, d).dicke_matrix, np.outer(vec, vec.conj()), atol=1e-12
+            )
+
+
+@pytest.mark.parametrize(
+    "n, theta", [(68, 0.0), (68, 1.0), (68, np.pi), (200, 1.0), (2000, 1.0)]
+)
+def test_product_state_large_n_is_valid(n, theta):
+    # C(N, p) overflows uint64 from N = 68 on
+    assert validate(product_state(n, BlochDirection(theta, 0.3))).ok
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=8),
@@ -301,11 +327,37 @@ def test_state_from_description_families():
         {"family": "dicke", "n_qubits": 4, "p": False},
         {"family": "product", "n_qubits": 2, "theta": float("nan")},
         {"family": "product", "n_qubits": 2, "theta": 0.5, "phi": float("inf")},
+        {"family": "product", "n_qubits": 2, "theta": True},
+        {"family": "product", "n_qubits": 2, "theta": "1.0"},
+        {"family": "product", "n_qubits": 2, "theta": 0.5, "phi": False},
+        {"family": "product", "n_qubits": 2, "theta": 0.5, "phi": "0"},
+        {"family": "noisy", "x": True, "base": {"family": "w", "n_qubits": 4}},
+        {"family": "noisy", "x": "0.5", "base": {"family": "w", "n_qubits": 4}},
     ],
 )
 def test_state_from_description_rejects_malformed(desc):
     with pytest.raises(ValueError):
         state_from_description(desc)
+
+
+def test_state_from_description_accepts_integer_reals():
+    # 0 and 1 are real numbers; only bool and str are refused
+    assert_allclose(
+        state_from_description({"family": "product", "n_qubits": 3, "theta": 0}).dicke_matrix,
+        product_state(3, BlochDirection(0.0)).dicke_matrix,
+    )
+    assert_allclose(
+        state_from_description(
+            {"family": "product", "n_qubits": 3, "theta": 1, "phi": 0}
+        ).dicke_matrix,
+        product_state(3, BlochDirection(1.0)).dicke_matrix,
+    )
+    w4 = {"family": "w", "n_qubits": 4}
+    for x in (0, 1):
+        assert_allclose(
+            state_from_description({"family": "noisy", "x": x, "base": w4}).dicke_matrix,
+            noisy_mixture(w_state(4), float(x)).dicke_matrix,
+        )
 
 
 def test_symmetric_state_shape_check():
