@@ -28,9 +28,12 @@ from .scanner import (
 )
 from .states import (
     SymmetricState,
+    _description_family,
+    ghz_state,
     noisy_family,
     state_from_description,
     state_to_payload,
+    w_state,
 )
 from .tensors import MultiIndex, correlation_tensor, tensor_to_payload
 
@@ -48,15 +51,12 @@ def _load_description(text: str) -> dict[str, Any]:
         return json.load(handle)
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+# What a command hands to main: exit code, JSON payload, and a builder of the
+# CSV/table rows that main calls only when one of those formats is asked for.
+Outcome = tuple[int, Any, Callable[[], list[dict[str, Any]]]]
 
 
-def _csv_rows(rows: list[dict[str, Any]]) -> str:
+def _csv_text(rows: list[dict[str, Any]]) -> str:
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
     writer.writeheader()
@@ -64,162 +64,121 @@ def _csv_rows(rows: list[dict[str, Any]]) -> str:
     return buffer.getvalue().rstrip("\n")
 
 
-def _state_csv(rho: SymmetricState) -> str:
-    rows = []
+def _load_state(args: argparse.Namespace) -> SymmetricState:
+    return state_from_description(_load_description(args.state))
+
+
+def cmd_state(args: argparse.Namespace) -> Outcome:
+    rho = _load_state(args)
     m = rho.dicke_matrix
-    for r in range(m.shape[0]):
-        for c in range(m.shape[1]):
-            rows.append(
-                {"row": r, "col": c, "re": float(m[r, c].real), "im": float(m[r, c].imag)}
-            )
-    return _csv_rows(rows)
+    return EXIT_OK, state_to_payload(rho), lambda: [
+        {"row": r, "col": c, "re": float(m[r, c].real), "im": float(m[r, c].imag)}
+        for r in range(m.shape[0])
+        for c in range(m.shape[1])
+    ]
 
 
-def cmd_state(args: argparse.Namespace) -> int:
-    rho = state_from_description(_load_description(args.state))
-    if args.format == "csv":
-        _emit(args, _state_csv(rho))
-    else:
-        _emit(args, json.dumps(state_to_payload(rho), indent=2))
-    return EXIT_OK
+def cmd_tensor(args: argparse.Namespace) -> Outcome:
+    tensor = correlation_tensor(_load_state(args), args.l)
+    payload = tensor_to_payload(tensor)
+    return EXIT_OK, payload, lambda: [
+        {"index": str(MultiIndex.from_code(tensor.order, i)), "value": v}
+        for i, v in enumerate(payload["values"])
+    ]
 
 
-def cmd_tensor(args: argparse.Namespace) -> int:
-    rho = state_from_description(_load_description(args.state))
-    tensor = correlation_tensor(rho, args.l)
-    if args.format == "csv":
-        rows = [
-            {"index": str(MultiIndex.from_code(tensor.order, i)), "value": v}
-            for i, v in enumerate(tensor_to_payload(tensor)["values"])
-        ]
-        _emit(args, _csv_rows(rows))
-    else:
-        _emit(args, json.dumps(tensor_to_payload(tensor), indent=2))
-    return EXIT_OK
-
-
-def cmd_cov(args: argparse.Namespace) -> int:
-    rho = state_from_description(_load_description(args.state))
+def cmd_cov(args: argparse.Namespace) -> Outcome:
+    rho = _load_state(args)
     cm = covariance_matrix(rho, args.k)
-    if args.format == "csv":
-        rows = []
-        for block_name, block in (("c", cm.c_block), ("a", cm.a_block)):
-            for r in range(block.shape[0]):
-                for c in range(block.shape[1]):
-                    rows.append(
-                        {
-                            "block": block_name,
-                            "row": str(MultiIndex.from_code(cm.k, r)),
-                            "col": str(MultiIndex.from_code(cm.k, c)),
-                            "value": float(block[r, c]),
-                        }
-                    )
-        _emit(args, _csv_rows(rows))
-    else:
-        payload = {
-            "n_qubits": rho.n_qubits,
-            "k": cm.k,
-            "c_block": [[float(v) for v in row] for row in cm.c_block],
-            "a_block": [[float(v) for v in row] for row in cm.a_block],
-            "min_eigenvalue": min_eigenvalue(cm),
+    payload = {
+        "n_qubits": rho.n_qubits,
+        "k": cm.k,
+        "c_block": [[float(v) for v in row] for row in cm.c_block],
+        "a_block": [[float(v) for v in row] for row in cm.a_block],
+        "min_eigenvalue": min_eigenvalue(cm),
+    }
+    return EXIT_OK, payload, lambda: [
+        {
+            "block": name,
+            "row": str(MultiIndex.from_code(cm.k, r)),
+            "col": str(MultiIndex.from_code(cm.k, c)),
+            "value": float(block[r, c]),
         }
-        _emit(args, json.dumps(payload, indent=2))
-    return EXIT_OK
+        for name, block in (("c", cm.c_block), ("a", cm.a_block))
+        for r in range(block.shape[0])
+        for c in range(block.shape[1])
+    ]
 
 
-def cmd_test(args: argparse.Namespace) -> int:
-    rho = state_from_description(_load_description(args.state))
-    report = test_entanglement(rho, args.k, tol=args.tol)
+def cmd_test(args: argparse.Namespace) -> Outcome:
+    report = test_entanglement(_load_state(args), args.k, tol=args.tol)
     payload = report_to_payload(report)
-    if args.format == "csv":
-        cert = payload["certificate"] or {}
-        row = {
-            "n_qubits": payload["n_qubits"],
-            "k": payload["k"],
-            "min_eigenvalue": payload["min_eigenvalue"],
-            "entangled": payload["entangled"],
-            "tolerance": payload["tolerance"],
-            "certificate_type": cert.get("type", ""),
-            "certificate_indices": ";".join(cert.get("indices", [])),
-            "certificate_value": cert.get("value", ""),
-        }
-        _emit(args, _csv_rows([row]))
-    else:
-        _emit(args, json.dumps(payload, indent=2))
-    return EXIT_OK if report.entangled else EXIT_NOT_DETECTED
+    cert = payload["certificate"] or {}
+    row = {
+        "n_qubits": payload["n_qubits"],
+        "k": payload["k"],
+        "min_eigenvalue": payload["min_eigenvalue"],
+        "entangled": payload["entangled"],
+        "tolerance": payload["tolerance"],
+        "certificate_type": cert.get("type", ""),
+        "certificate_indices": ";".join(cert.get("indices", [])),
+        "certificate_value": cert.get("value", ""),
+    }
+    return (EXIT_OK if report.entangled else EXIT_NOT_DETECTED), payload, lambda: [row]
 
 
-def _build_detector(args: argparse.Namespace) -> Detector:
-    index = None
-    if args.index is not None:
-        index = MultiIndex.from_string(args.index)
-    return Detector(kind=args.detector, k=args.k, index=index)
-
-
-def cmd_scan(args: argparse.Namespace) -> int:
+def cmd_scan(args: argparse.Namespace) -> Outcome:
     desc = _load_description(args.state)
-    if desc.get("family") != "noisy":
+    if _description_family(desc) != "noisy":
         raise ValueError("scan expects a 'noisy' family description with x left free")
     if desc.get("x") is not None:
         raise ValueError("scan requires the mixing parameter x to be left free")
-    base = state_from_description(desc["base"])
-    detector = _build_detector(args)
+    index = None if args.index is None else MultiIndex.from_string(args.index)
     result = scan_threshold(
-        noisy_family(base),
-        detector,
+        noisy_family(state_from_description(desc["base"])),
+        Detector(kind=args.detector, k=args.k, index=index),
         tol=args.tol,
         grid=args.grid,
         family_desc=desc,
     )
     payload = scan_to_payload(result, reference_value=args.reference, tol=args.tol)
-    if args.format == "csv":
-        row = {
-            "detector": payload["detector"]["kind"],
-            "k": payload["detector"]["k"],
-            "index": payload["detector"]["index"] or "",
-            "threshold": payload["threshold"],
-            "bracket_lo": None if result.bracket is None else result.bracket[0],
-            "bracket_hi": None if result.bracket is None else result.bracket[1],
-            "reference_value": payload["reference_value"],
-            "agrees": payload["agrees"],
-        }
-        _emit(args, _csv_rows([row]))
-    else:
-        _emit(args, json.dumps(payload, indent=2))
-    return EXIT_OK if result.threshold is not None else EXIT_NOT_DETECTED
+    bracket = payload["bracket"] or (None, None)
+    row = {
+        "detector": payload["detector"]["kind"],
+        "k": payload["detector"]["k"],
+        "index": payload["detector"]["index"] or "",
+        "threshold": payload["threshold"],
+        "bracket_lo": bracket[0],
+        "bracket_hi": bracket[1],
+        "reference_value": payload["reference_value"],
+        "agrees": payload["agrees"],
+    }
+    code = EXIT_OK if result.threshold is not None else EXIT_NOT_DETECTED
+    return code, payload, lambda: [row]
 
 
-def cmd_validate_theorem(args: argparse.Namespace) -> int:
+def cmd_validate_theorem(args: argparse.Namespace) -> Outcome:
     if args.samples < 1:
         raise ValueError(f"need at least one sample, got {args.samples}")
-    worst = np.inf
-    violations = 0
-    checked = 0
+    if not 0.0 < args.tol < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {args.tol}")
+    values: list[float] = []
     for i in range(args.samples):
-        sub_seed = oracle.derive_seed(args.seed, i)
-        terms = args.terms if args.terms else (i % 5) + 1
-        _, rho = oracle.sample_separable(args.n, terms, sub_seed)
-        for k in range(1, args.n // 2 + 1):
-            value = min_eigenvalue(covariance_matrix(rho, k))
-            worst = min(worst, value)
-            checked += 1
-            if value < -args.tol:
-                violations += 1
+        terms = args.terms or (i % 5) + 1
+        _, rho = oracle.sample_separable(args.n, terms, oracle.derive_seed(args.seed, i))
+        values += [min_eigenvalue(covariance_matrix(rho, k)) for k in range(1, args.n // 2 + 1)]
+    violations = sum(value < -args.tol for value in values)
     payload = {
         "n_qubits": args.n,
         "samples": args.samples,
         "terms": args.terms or "1..5 cycling",
         "seed": args.seed,
-        "blocks_checked": checked,
+        "blocks_checked": len(values),
         "violations": violations,
-        "most_negative": float(worst),
+        "most_negative": float(min(values, default=np.inf)),
         "tolerance": args.tol,
     }
-    if args.format == "csv":
-        _emit(args, _csv_rows([payload]))
-    else:
-        _emit(args, json.dumps(payload, indent=2))
-    return EXIT_OK if violations == 0 else EXIT_NOT_DETECTED
+    return (EXIT_OK if violations == 0 else EXIT_NOT_DETECTED), payload, lambda: [payload]
 
 
 # ---------------------------------------------------------------------------
@@ -232,23 +191,15 @@ STATUS_KNOWN = "known-discrepant"
 
 
 def _row(
-    name: str,
-    reference: Optional[float],
-    computed: float,
-    ok: bool,
-    known_discrepant: bool = False,
-    note: str = "",
+    name: str, reference: float, computed: float, ok: bool,
+    known_discrepant: bool = False, note: str = "",
 ) -> dict[str, Any]:
-    delta = None if reference is None else abs(computed - reference)
-    if known_discrepant:
-        status = STATUS_KNOWN if ok else STATUS_FAIL
-    else:
-        status = STATUS_PASS if ok else STATUS_FAIL
+    status = (STATUS_KNOWN if known_discrepant else STATUS_PASS) if ok else STATUS_FAIL
     return {
         "name": name,
         "reference": reference,
         "computed": computed,
-        "abs_delta": delta,
+        "abs_delta": abs(computed - reference),
         "status": status,
         "note": note,
     }
@@ -257,6 +208,39 @@ def _row(
 def _within_two_sig_figs(computed: float, reference: float) -> bool:
     scale = 10.0 ** (np.floor(np.log10(abs(reference))) - 1)
     return abs(computed - reference) <= 0.5 * scale
+
+
+def _oracle_agrees(
+    rho: SymmetricState, k: int, expected: float, atol: float, code: Optional[int] = None
+) -> bool:
+    """Brute-force cross-check in the full 2^N space.
+
+    Compares the oracle's covariance block against expected: its least
+    eigenvalue, or its diagonal entry at code when one is given.
+    """
+    c_block, _ = oracle.covariance_oracle(oracle.embed_full(rho), k)
+    value = np.linalg.eigvalsh(c_block)[0] if code is None else c_block[code, code]
+    return abs(float(value) - expected) <= atol
+
+
+def _threshold_row(
+    name: str, base: SymmetricState, detector: Detector, reference: float,
+    tolerance: Optional[float],
+) -> dict[str, Any]:
+    """Scan the noisy family of base; a None tolerance compares two significant figures."""
+    threshold = scan_threshold(noisy_family(base), detector, tol=1e-6).threshold
+    ok = threshold is not None and (
+        _within_two_sig_figs(threshold, reference)
+        if tolerance is None
+        else abs(threshold - reference) <= tolerance
+    )
+    return _row(
+        name,
+        reference,
+        float("nan") if threshold is None else threshold,
+        ok,
+        note="compared at two significant figures" if tolerance is None else "",
+    )
 
 
 def _pairwise_ppt_threshold(
@@ -272,61 +256,51 @@ def _pairwise_ppt_threshold(
     return None if bracket is None else (bracket[0] + bracket[1]) / 2.0
 
 
-def _reproduce_rows() -> list[dict[str, Any]]:
-    from .states import ghz_state, w_state
+def _ghz_index(k: int) -> MultiIndex:
+    """(x, ..., x, y): the GHZ diagonal that turns negative at the largest partition."""
+    return MultiIndex(("x",) * (k - 1) + ("y",))
 
+
+def _reproduce_rows() -> list[dict[str, Any]]:
     rows: list[dict[str, Any]] = []
 
     # GHZ least eigenvalue of the top-order covariance block
     for n in (2, 4, 6, 8):
-        report = test_entanglement(ghz_state(n), n // 2)
-        reference = -(2.0 ** (n / 2 - 1))
+        rho, reference = ghz_state(n), -(2.0 ** (n / 2 - 1))
+        report = test_entanglement(rho, n // 2)
         ok = abs(report.min_eigenvalue - reference) <= 1e-9
-        if n <= 6:
-            c_oracle, _ = oracle.covariance_oracle(oracle.embed_full(ghz_state(n)), n // 2)
-            ok = ok and abs(float(np.linalg.eigvalsh(c_oracle)[0]) - reference) <= 1e-9
+        ok = ok and (n > 6 or _oracle_agrees(rho, n // 2, reference, 1e-9))
         rows.append(
-            _row(
-                f"GHZ_{n} least eigenvalue of C^({n})",
-                reference,
-                report.min_eigenvalue,
-                ok,
-            )
+            _row(f"GHZ_{n} least eigenvalue of C^({n})", reference, report.min_eigenvalue, ok)
         )
 
     # GHZ diagonal entry at (x, ..., x, y); the reference branches on N/2 parity
     for n in (2, 4, 6, 8):
-        k = n // 2
-        index = MultiIndex(("x",) * (k - 1) + ("y",))
-        computed = detector_value(ghz_state(n), Detector("diag", k, index))
+        rho, k = ghz_state(n), n // 2
+        index = _ghz_index(k)
+        computed = detector_value(rho, Detector("diag", k, index))
+        ok = abs(computed + 1.0) <= 1e-9
+        name = f"GHZ_{n} diagonal C[{index}, {index}]"
         if k % 2 == 0:
-            rows.append(
-                _row(f"GHZ_{n} diagonal C[{index}, {index}]", -1.0, computed,
-                     abs(computed + 1.0) <= 1e-9)
+            rows.append(_row(name, -1.0, computed, ok))
+            continue
+        ok = ok and (n > 6 or _oracle_agrees(rho, k, computed, 1e-10, index.code()))
+        rows.append(
+            _row(
+                name,
+                -2.0,
+                computed,
+                ok,
+                known_discrepant=True,
+                note="reference formula for odd N/2 disagrees with direct "
+                "computation; computed value confirmed by brute force",
             )
-        else:
-            ok = abs(computed + 1.0) <= 1e-9
-            if n <= 6:
-                c_oracle, _ = oracle.covariance_oracle(oracle.embed_full(ghz_state(n)), k)
-                code = index.code()
-                ok = ok and abs(float(c_oracle[code, code]) - computed) <= 1e-10
-            rows.append(
-                _row(
-                    f"GHZ_{n} diagonal C[{index}, {index}]",
-                    -2.0,
-                    computed,
-                    ok,
-                    known_discrepant=True,
-                    note="reference formula for odd N/2 disagrees with direct "
-                    "computation; computed value confirmed by brute force",
-                )
-            )
+        )
 
     # W diagonal entry at (z, ..., z) for the largest partition
     for n in (2, 4, 6, 8):
-        k = n // 2
-        index = MultiIndex(("z",) * k)
-        computed = detector_value(w_state(n), Detector("diag", k, index))
+        index = MultiIndex(("z",) * (n // 2))
+        computed = detector_value(w_state(n), Detector("diag", n // 2, index))
         rows.append(
             _row(f"W_{n} diagonal C[{index}, {index}] at 2k=N", -1.0, computed,
                  abs(computed + 1.0) <= 1e-9)
@@ -334,13 +308,15 @@ def _reproduce_rows() -> list[dict[str, Any]]:
 
     # W least-eigenvalue closed form; direct computation disagrees at every k
     for n, k in ((4, 1), (4, 2), (6, 1), (6, 2), (6, 3)):
-        report = test_entanglement(w_state(n), k)
+        rho = w_state(n)
+        report = test_entanglement(rho, k)
         formula = -2.0 * k * (k - 1) / n**2
         diag_bound = -4.0 * k**2 / n**2
-        ok = report.entangled and report.min_eigenvalue <= diag_bound + 1e-9
-        if n <= 6:
-            c_oracle, _ = oracle.covariance_oracle(oracle.embed_full(w_state(n)), k)
-            ok = ok and abs(float(np.linalg.eigvalsh(c_oracle)[0]) - report.min_eigenvalue) <= 1e-9
+        ok = (
+            report.entangled
+            and report.min_eigenvalue <= diag_bound + 1e-9
+            and _oracle_agrees(rho, k, report.min_eigenvalue, 1e-9)
+        )
         rows.append(
             _row(
                 f"W_{n} least-eigenvalue closed form at k={k}",
@@ -353,68 +329,27 @@ def _reproduce_rows() -> list[dict[str, Any]]:
             )
         )
 
-    # noisy-state least-eigenvalue thresholds at the largest partition
-    noisy_cases = (
-        ("GHZ", ghz_state, {2: (0.25, 1e-4), 4: (0.0625, 1e-4), 6: (0.014, None)}),
-        ("W", w_state, {2: (0.25, 1e-4), 4: (0.0899, 5e-4), 6: (0.042, None)}),
-    )
-    for label, build, cases in noisy_cases:
-        for n, (reference, tolerance) in cases.items():
-            result = scan_threshold(
-                noisy_family(build(n)), Detector("min_eig", n // 2), tol=1e-6
-            )
-            computed = result.threshold
-            if tolerance is None:
-                ok = computed is not None and _within_two_sig_figs(computed, reference)
-                note = "compared at two significant figures"
-            else:
-                ok = computed is not None and abs(computed - reference) <= tolerance
-                note = ""
-            rows.append(
-                _row(
-                    f"noisy-{label} N={n} least-eigenvalue threshold",
-                    reference,
-                    computed if computed is not None else float("nan"),
-                    ok,
-                    note=note,
-                )
-            )
-
-    # closed-form diagonal thresholds
+    # noisy-state least-eigenvalue thresholds at the largest partition, then
+    # the closed-form diagonal thresholds 1/N^2 (GHZ) and 1/(N+2) (W moments)
+    scans = [
+        (f"noisy-{label} N={n} least-eigenvalue threshold", build(n),
+         Detector("min_eig", n // 2), reference, tolerance)
+        for label, build, cases in (
+            ("GHZ", ghz_state, {2: (0.25, 1e-4), 4: (0.0625, 1e-4), 6: (0.014, None)}),
+            ("W", w_state, {2: (0.25, 1e-4), 4: (0.0899, 5e-4), 6: (0.042, None)}),
+        )
+        for n, (reference, tolerance) in cases.items()
+    ]
     for n in (2, 4, 6, 8):
-        forms = analytic_thresholds(n)
-        ghz_scan = scan_threshold(
-            noisy_family(ghz_state(n)),
-            Detector("diag", n // 2, MultiIndex(("x",) * (n // 2 - 1) + ("y",))),
-            tol=1e-6,
-        )
-        rows.append(
-            _row(
-                f"noisy-GHZ N={n} diagonal threshold",
-                forms.ghz_diag,
-                ghz_scan.threshold,
-                ghz_scan.threshold is not None
-                and abs(ghz_scan.threshold - forms.ghz_diag) <= 1e-6,
-            )
-        )
-        w_scan = scan_threshold(
-            noisy_family(w_state(n)),
-            Detector("moment_diag", n // 2, MultiIndex(("z",) * (n // 2))),
-            tol=1e-6,
-        )
-        rows.append(
-            _row(
-                f"noisy-W N={n} moment-diagonal threshold",
-                forms.w_diag,
-                w_scan.threshold,
-                w_scan.threshold is not None
-                and abs(w_scan.threshold - forms.w_diag) <= 1e-6,
-            )
-        )
+        k, forms = n // 2, analytic_thresholds(n)
+        scans.append((f"noisy-GHZ N={n} diagonal threshold", ghz_state(n),
+                      Detector("diag", k, _ghz_index(k)), forms.ghz_diag, 1e-6))
+        scans.append((f"noisy-W N={n} moment-diagonal threshold", w_state(n),
+                      Detector("moment_diag", k, MultiIndex(("z",) * k)), forms.w_diag, 1e-6))
+    rows += [_threshold_row(*scan) for scan in scans]
 
     # noisy-W two-qubit threshold: published closed form vs direct computation
     for n in (4, 6, 8):
-        forms = analytic_thresholds(n)
         family = noisy_family(w_state(n))
         result = scan_threshold(family, Detector("min_eig", 1), tol=1e-6)
         ppt_threshold = _pairwise_ppt_threshold(family, tol=1e-6)
@@ -426,7 +361,7 @@ def _reproduce_rows() -> list[dict[str, Any]]:
         rows.append(
             _row(
                 f"noisy-W N={n} two-qubit threshold",
-                forms.w_pair,
+                analytic_thresholds(n).w_pair,
                 result.threshold if result.threshold is not None else float("nan"),
                 ok,
                 known_discrepant=True,
@@ -442,25 +377,17 @@ def _format_reproduce_table(rows: list[dict[str, Any]]) -> str:
         f"{'quantity':<48} {'reference':>12} {'computed':>14} {'|delta|':>10} {'status':<17} note"
     ]
     for row in rows:
-        ref = "-" if row["reference"] is None else f"{row['reference']:.6g}"
-        delta = "-" if row["abs_delta"] is None else f"{row['abs_delta']:.2e}"
         lines.append(
-            f"{row['name']:<48} {ref:>12} {row['computed']:>14.8g} "
-            f"{delta:>10} {row['status']:<17} {row['note']}"
+            f"{row['name']:<48} {row['reference']:>12.6g} {row['computed']:>14.8g} "
+            f"{row['abs_delta']:>10.2e} {row['status']:<17} {row['note']}"
         )
     return "\n".join(lines)
 
 
-def cmd_reproduce(args: argparse.Namespace) -> int:
+def cmd_reproduce(args: argparse.Namespace) -> Outcome:
     rows = _reproduce_rows()
-    if args.format == "csv":
-        _emit(args, _csv_rows(rows))
-    elif args.format == "json":
-        _emit(args, json.dumps({"rows": rows}, indent=2))
-    else:
-        _emit(args, _format_reproduce_table(rows))
     failed = any(row["status"] == STATUS_FAIL for row in rows)
-    return EXIT_NOT_DETECTED if failed else EXIT_OK
+    return (EXIT_NOT_DETECTED if failed else EXIT_OK), {"rows": rows}, lambda: rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -471,37 +398,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, state: bool = True) -> None:
+    def command(
+        name: str,
+        handler: Callable[[argparse.Namespace], Outcome],
+        help: str,
+        state: bool = True,
+        formats: Sequence[str] = ("json", "csv"),
+    ) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         if state:
             p.add_argument(
                 "--state", required=True,
                 help="state description as inline JSON or a path to a JSON file",
             )
         p.add_argument("--output", help="write the result to this path instead of stdout")
-        p.add_argument("--format", choices=("json", "csv", "table"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
+        p.set_defaults(handler=handler)
+        return p
 
-    p_state = sub.add_parser("state", help="build a state and dump its Dicke matrix")
-    add_common(p_state)
-    p_state.set_defaults(handler=cmd_state)
+    command("state", cmd_state, "build a state and dump its Dicke matrix")
 
-    p_tensor = sub.add_parser("tensor", help="dump an order-l correlation tensor")
-    add_common(p_tensor)
+    p_tensor = command("tensor", cmd_tensor, "dump an order-l correlation tensor")
     p_tensor.add_argument("--l", type=int, required=True, help="tensor order")
-    p_tensor.set_defaults(handler=cmd_tensor)
 
-    p_cov = sub.add_parser("cov", help="dump the covariance blocks for group size k")
-    add_common(p_cov)
+    p_cov = command("cov", cmd_cov, "dump the covariance blocks for group size k")
     p_cov.add_argument("--k", type=int, required=True, help="qubits per group")
-    p_cov.set_defaults(handler=cmd_cov)
 
-    p_test = sub.add_parser("test", help="run the negativity entanglement test")
-    add_common(p_test)
+    p_test = command("test", cmd_test, "run the negativity entanglement test")
     p_test.add_argument("--k", type=int, required=True, help="qubits per group")
     p_test.add_argument("--tol", type=float, default=1e-9, help="negativity tolerance")
-    p_test.set_defaults(handler=cmd_test)
 
-    p_scan = sub.add_parser("scan", help="scan a noisy family for its threshold")
-    add_common(p_scan)
+    p_scan = command("scan", cmd_scan, "scan a noisy family for its threshold")
     p_scan.add_argument("--k", type=int, required=True, help="qubits per group")
     p_scan.add_argument(
         "--detector", choices=("min_eig", "diag", "moment_diag"), default="min_eig"
@@ -513,13 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--reference", type=float, default=None,
         help="optional reference threshold to compare against",
     )
-    p_scan.set_defaults(handler=cmd_scan)
 
-    p_thm = sub.add_parser(
-        "validate-theorem",
-        help="sample separable states and confirm their covariance blocks stay PSD",
+    p_thm = command(
+        "validate-theorem", cmd_validate_theorem,
+        "sample separable states and confirm their covariance blocks stay PSD", state=False,
     )
-    add_common(p_thm, state=False)
     p_thm.add_argument("--n", type=int, default=6, help="number of qubits")
     p_thm.add_argument("--samples", type=int, default=100, help="number of samples")
     p_thm.add_argument(
@@ -528,26 +453,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_thm.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p_thm.add_argument("--tol", type=float, default=1e-9, help="negativity tolerance")
-    p_thm.set_defaults(handler=cmd_validate_theorem)
 
-    p_rep = sub.add_parser(
-        "reproduce",
-        help="recompute the published reference values and report pass/fail per row",
+    command(
+        "reproduce", cmd_reproduce,
+        "recompute the published reference values and report pass/fail per row",
+        state=False, formats=("json", "csv", "table"),
     )
-    add_common(p_rep, state=False)
-    p_rep.set_defaults(handler=cmd_reproduce)
-
     return parser
 
 
+def _render(fmt: str, payload: Any, rows: Callable[[], list[dict[str, Any]]]) -> str:
+    if fmt == "json":
+        return json.dumps(payload, indent=2)
+    if fmt == "csv":
+        return _csv_text(rows())
+    return _format_reproduce_table(rows())  # "table" is offered by reproduce only
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code, payload, rows = args.handler(args)
+        text = _render(args.format, payload, rows)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        else:
+            print(text)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

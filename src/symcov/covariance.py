@@ -209,8 +209,8 @@ def test_entanglement(
     verdict is reported with the minor certificate when one fired, otherwise
     with the minimizing eigenvector as witness.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     cm = covariance_matrix(rho, k)
     cutoff = tol * max(1.0, float(np.abs(cm.c_block).max()))
     minor = principal_minor_search(cm, max_order=2, tol=cutoff)

@@ -109,8 +109,8 @@ def _bracket_sign_change(
     the bracket is returned.  The bracket is None when no grid point is
     negative and (0, 0) when x = 0 already is.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     if grid < 8:
         raise ValueError(f"grid must have at least 8 points, got {grid}")
     xs = np.linspace(0.0, 1.0, grid)

@@ -223,7 +223,10 @@ def validate(rho: SymmetricState) -> ValidationReport:
     m = rho.dicke_matrix
     herm_defect = float(np.abs(m - m.conj().T).max())
     trace_defect = float(abs(np.trace(m) - 1.0))
-    min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
+    hermitian_part = (m + m.conj().T) / 2.0
+    if not hermitian_part.imag.any():  # real symmetric: same spectrum, cheaper solve
+        hermitian_part = hermitian_part.real
+    min_eig = float(np.linalg.eigvalsh(hermitian_part)[0])
     return ValidationReport(
         hermiticity_defect=herm_defect,
         trace_defect=trace_defect,
@@ -238,7 +241,14 @@ def validate(rho: SymmetricState) -> ValidationReport:
 # Wire formats
 # ---------------------------------------------------------------------------
 
-_PURE_FAMILIES = ("ghz", "w", "dicke", "product")
+# The keys each family's description may carry; any other key is refused.
+_DESCRIPTION_KEYS = {
+    "ghz": {"family", "n_qubits"},
+    "w": {"family", "n_qubits"},
+    "dicke": {"family", "n_qubits", "p"},
+    "product": {"family", "n_qubits", "theta", "phi"},
+    "noisy": {"family", "x", "base"},
+}
 
 
 def _integer_field(desc: dict[str, Any], key: str) -> int:
@@ -257,6 +267,22 @@ def _real_field(desc: dict[str, Any], key: str) -> float:
     return float(value)
 
 
+def _description_family(desc: Any) -> str:
+    """The family of a description that is an object with known family and keys."""
+    if not isinstance(desc, dict):
+        raise ValueError(f"state description must be an object, got {type(desc)}")
+    try:
+        family = desc["family"]
+    except KeyError:
+        raise ValueError("state description is missing the 'family' key") from None
+    if not isinstance(family, str) or family not in _DESCRIPTION_KEYS:
+        raise ValueError(f"unknown family {family!r}")
+    unknown = [key for key in desc if key not in _DESCRIPTION_KEYS[family]]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in a {family!r} description")
+    return family
+
+
 def state_from_description(desc: dict[str, Any]) -> SymmetricState:
     """Build a state from the family-description document used by the CLI.
 
@@ -265,21 +291,15 @@ def state_from_description(desc: dict[str, Any]) -> SymmetricState:
     {"family": "noisy", "x": float, "base": <pure family description>}.
     N and p must be integers; floats and booleans are refused, not truncated.
     x, theta and phi must be real numbers; booleans and strings are refused.
+    Keys a family does not take are refused, not ignored.
     """
-    if not isinstance(desc, dict):
-        raise ValueError(f"state description must be an object, got {type(desc)}")
-    try:
-        family = desc["family"]
-    except KeyError:
-        raise ValueError("state description is missing the 'family' key") from None
+    family = _description_family(desc)
     if family == "noisy":
         if "base" not in desc:
             raise ValueError("noisy description needs a 'base' state")
         if "x" not in desc or desc["x"] is None:
             raise ValueError("noisy description needs a mixing parameter 'x'")
         return noisy_mixture(state_from_description(desc["base"]), _real_field(desc, "x"))
-    if family not in _PURE_FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
     try:
         n = _integer_field(desc, "n_qubits")
     except KeyError:

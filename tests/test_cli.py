@@ -7,6 +7,7 @@ import json
 import pytest
 from numpy.testing import assert_allclose
 
+from symcov import cli
 from symcov.cli import main
 from symcov.covariance import covariance_matrix, min_eigenvalue
 from symcov.states import state_from_payload, w_state
@@ -56,6 +57,7 @@ def test_exit_code_usage_error_malformed_json(capsys):
         '{"family":"dicke","n_qubits":4,"p":1.9}',
         '{"family":"product","n_qubits":2,"theta":NaN}',
         '{"family":"noisy","x":true,"base":{"family":"w","n_qubits":4}}',
+        '{"family":"w","n_qubits":4,"x":0.5}',
     ],
 )
 def test_exit_code_usage_error_coercible_description(capsys, desc):
@@ -214,3 +216,125 @@ def test_validate_theorem_single_product_term(capsys):
     assert code == 0
     assert payload["violations"] == 0
     assert abs(payload["most_negative"]) <= 1e-12
+
+
+NOISY_GHZ4 = '{"family":"noisy","base":{"family":"ghz","n_qubits":4}}'
+
+# one cheap invocation per command, without --format
+COMMANDS = {
+    "state": ["state", "--state", '{"family":"w","n_qubits":3}'],
+    "tensor": ["tensor", "--state", '{"family":"w","n_qubits":4}', "--l", "2"],
+    "cov": ["cov", "--state", '{"family":"w","n_qubits":4}', "--k", "1"],
+    "test": ["test", "--state", W6, "--k", "2"],
+    "scan": ["scan", "--state", NOISY_GHZ4, "--k", "2", "--detector", "diag",
+             "--index", "xy", "--reference", "0.0625"],
+    "validate-theorem": ["validate-theorem", "--n", "4", "--samples", "2", "--seed", "3"],
+    "reproduce": ["reproduce"],
+}
+
+CSV_HEADERS = {
+    "state": "row,col,re,im",
+    "tensor": "index,value",
+    "cov": "block,row,col,value",
+    "test": "n_qubits,k,min_eigenvalue,entangled,tolerance,"
+            "certificate_type,certificate_indices,certificate_value",
+    "scan": "detector,k,index,threshold,bracket_lo,bracket_hi,reference_value,agrees",
+    "validate-theorem": "n_qubits,samples,terms,seed,blocks_checked,violations,"
+                        "most_negative,tolerance",
+    "reproduce": "name,reference,computed,abs_delta,status,note",
+}
+
+TABLE_HEADER = (
+    "quantity                                            reference       computed"
+    "    |delta| status            note"
+)
+
+
+@pytest.fixture(scope="module")
+def reproduce_rows():
+    return cli._reproduce_rows()
+
+
+@pytest.fixture
+def fast_reproduce(monkeypatch, reproduce_rows):
+    # the rendering under test does not depend on recomputing the rows
+    monkeypatch.setattr(cli, "_reproduce_rows", lambda: reproduce_rows)
+    return reproduce_rows
+
+
+@pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"reproduce"}))
+def test_table_format_only_on_reproduce(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main(COMMANDS[command] + ["--format", "table"])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert captured.out == ""
+    assert "invalid choice: 'table'" in captured.err
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_csv_header(capsys, fast_reproduce, command):
+    code = main(COMMANDS[command] + ["--format", "csv"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == CSV_HEADERS[command]
+
+
+def test_reproduce_table_has_one_line_per_row(capsys, fast_reproduce):
+    assert main(["reproduce", "--format", "table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == TABLE_HEADER
+    assert len(lines) == 1 + len(fast_reproduce)
+    for line, row in zip(lines[1:], fast_reproduce):
+        assert line.startswith(row["name"])
+        assert row["status"] in line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        COMMANDS["test"],
+        COMMANDS["test"] + ["--format", "csv"],
+        COMMANDS["cov"] + ["--format", "csv"],
+        ["reproduce", "--format", "json"],
+        ["reproduce", "--format", "csv"],
+        ["reproduce", "--format", "table"],
+    ],
+)
+def test_output_file_holds_stdout_bytes(tmp_path, capsys, fast_reproduce, argv):
+    code = main(argv)
+    stdout = capsys.readouterr().out
+    target = tmp_path / "result.out"
+    assert main(argv + ["--output", str(target)]) == code
+    assert capsys.readouterr().out == ""
+    written = target.read_bytes().decode("utf-8")
+    assert written == stdout
+    assert written.endswith("\n") and not written.endswith("\n\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test", "--state", W6, "--k", "2", "--tol", "nan"],
+        ["test", "--state", W6, "--k", "2", "--tol", "inf"],
+        ["validate-theorem", "--n", "4", "--samples", "2", "--tol", "nan"],
+        ["validate-theorem", "--n", "4", "--samples", "2", "--tol", "0"],
+        ["scan", "--state", NOISY_GHZ4, "--k", "2", "--tol", "nan"],
+        ["scan", "--state", NOISY_GHZ4, "--k", "2", "--tol", "inf"],
+    ],
+)
+def test_non_finite_tolerance_is_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_scan_rejects_unknown_family_key(capsys):
+    desc = '{"family":"noisy","base":{"family":"ghz","n_qubits":4},"y":0.5}'
+    code = main(["scan", "--state", desc, "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: unknown key 'y' in a 'noisy' description\n"

@@ -277,6 +277,13 @@ def test_entanglement_rejects_bad_arguments():
         test_entanglement(ghz_state(6), 1, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+def test_entanglement_rejects_non_finite_tolerance(tol):
+    # a NaN cutoff would never detect and an infinite one never could
+    with pytest.raises(ValueError, match="finite and positive"):
+        test_entanglement(w_state(6), 2, tol=tol)
+
+
 def test_report_payload_minor():
     payload = report_to_payload(test_entanglement(ghz_state(4), 2))
     assert payload["n_qubits"] == 4

@@ -99,6 +99,13 @@ def test_scan_validates_arguments():
         scan_threshold(family, Detector("min_eig", 1), grid=4)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_scan_rejects_non_finite_tolerance(tol):
+    # NaN would skip bisection and return the grid bracket as a threshold
+    with pytest.raises(ValueError, match="finite and positive"):
+        scan_threshold(noisy_family(ghz_state(2)), Detector("min_eig", 1), tol=tol)
+
+
 def test_analytic_thresholds_n4():
     forms = analytic_thresholds(4)
     assert forms.ghz_diag == pytest.approx(1.0 / 16.0)

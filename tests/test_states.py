@@ -278,6 +278,18 @@ def test_validate_accepts_valid_state():
     assert validate(noisy_mixture(w_state(5), 0.7)).ok
 
 
+def test_validate_keeps_imaginary_part():
+    # phi != 0 gives a complex matrix, which takes the complex eigensolve
+    rho = product_state(6, BlochDirection(1.0, 0.7))
+    assert np.abs(rho.dicke_matrix.imag).max() > 0.1
+    assert validate(rho).ok
+    # the real part alone is PSD here; the Hermitian matrix is not
+    m = np.array([[0.5, 0.6j], [-0.6j, 0.5]])
+    report = validate(SymmetricState(1, m))
+    assert report.min_eigenvalue == pytest.approx(-0.1)
+    assert not report.psd_ok
+
+
 def test_state_payload_roundtrip(rng):
     rho = oracle.random_symmetric_state(4, seed=rng)
     payload = state_to_payload(rho)
@@ -333,11 +345,23 @@ def test_state_from_description_families():
         {"family": "product", "n_qubits": 2, "theta": 0.5, "phi": "0"},
         {"family": "noisy", "x": True, "base": {"family": "w", "n_qubits": 4}},
         {"family": "noisy", "x": "0.5", "base": {"family": "w", "n_qubits": 4}},
+        {"family": "w", "n_qubits": 4, "x": 0.5},
+        {"family": "ghz", "n_qubits": 4, "p": 1},
+        {"family": "dicke", "n_qubits": 4, "p": 1, "theta": 0.5},
+        {"family": "product", "n_qubits": 2, "theta": 0.5, "x": 0.5},
+        {"family": "noisy", "x": 0.5, "n_qubits": 4, "base": {"family": "w", "n_qubits": 4}},
+        {"family": "noisy", "x": 0.5, "base": {"family": "w", "n_qubits": 4, "phi": 0.1}},
+        {"family": ["w"], "n_qubits": 4},
     ],
 )
 def test_state_from_description_rejects_malformed(desc):
     with pytest.raises(ValueError):
         state_from_description(desc)
+
+
+def test_state_from_description_names_unknown_key():
+    with pytest.raises(ValueError, match="unknown key 'x' in a 'w' description"):
+        state_from_description({"family": "w", "n_qubits": 4, "x": 0.5})
 
 
 def test_state_from_description_accepts_integer_reals():
