@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
@@ -28,35 +28,53 @@ IMAG_ATOL = 1e-10
 DEFAULT_TOL = 1e-9
 
 
-@dataclass
 class CovarianceMatrix:
     """Blocks of the order-2k variance matrix for two k-qubit groups.
 
     c_block holds the inter-group covariances, a_block the (identical)
-    intra-group blocks built from symmetrized second moments.
+    intra-group blocks built from symmetrized second moments.  Either block
+    may be given as an array, checked here for shape and symmetry.  a_block
+    may instead be a zero-argument builder: it then runs on the first read of
+    ``a_block``, gets the same checks, and its result is cached, so a caller
+    that reads only C never pays for A.  Both blocks are read-only.
     """
 
-    k: int
-    c_block: np.ndarray
-    a_block: np.ndarray
-
-    def __post_init__(self) -> None:
-        k = int(self.k)
+    def __init__(
+        self,
+        k: int,
+        c_block: np.ndarray,
+        a_block: Union[np.ndarray, Callable[[], np.ndarray]],
+    ) -> None:
+        k = int(k)
         if k < 1:
             raise ValueError(f"group size must be >= 1, got {k}")
-        side = 3**k
-        c = np.array(self.c_block, dtype=float)
-        a = np.array(self.a_block, dtype=float)
-        for name, block in (("c_block", c), ("a_block", a)):
-            if block.shape != (side, side):
-                raise ValueError(f"{name} must be ({side}, {side}), got {block.shape}")
-            if np.abs(block - block.T).max() > SYMMETRY_ATOL:
-                raise ValueError(f"{name} is not symmetric")
-        c.setflags(write=False)
-        a.setflags(write=False)
         self.k = k
-        self.c_block = c
-        self.a_block = a
+        self.c_block = _checked_block("c_block", c_block, k)
+        self._a_builder: Optional[Callable[[], np.ndarray]] = None
+        if callable(a_block):
+            self._a_builder = a_block
+        else:
+            self._a_block = _checked_block("a_block", a_block, k)
+
+    @property
+    def a_block(self) -> np.ndarray:
+        """The intra-group block; a builder given for it runs on the first read."""
+        if self._a_builder is not None:
+            self._a_block = _checked_block("a_block", self._a_builder(), self.k)
+            self._a_builder = None
+        return self._a_block
+
+
+def _checked_block(name: str, block: Any, k: int) -> np.ndarray:
+    """A read-only float copy of a 3^k x 3^k symmetric block; ValueError otherwise."""
+    side = 3**k
+    out = np.array(block, dtype=float)
+    if out.shape != (side, side):
+        raise ValueError(f"{name} must be ({side}, {side}), got {out.shape}")
+    if np.abs(out - out.T).max() > SYMMETRY_ATOL:
+        raise ValueError(f"{name} is not symmetric")
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -101,10 +119,9 @@ class NegativityReport:
 def covariance_matrix(rho: SymmetricState, k: int) -> CovarianceMatrix:
     """Assemble the covariance blocks for group size k (needs 2k <= N).
 
-    The inter-group block comes straight from moment arithmetic.  The
-    intra-group block needs operator products on a shared group, so it is
-    evaluated on the k-qubit reduction embedded in the 2^k space, with the
-    anticommutator symmetrization applied to the Gram matrix of Pauli strings.
+    The inter-group block comes straight from moment arithmetic and is built
+    here.  The intra-group block is built on the first read of ``a_block``
+    (see :func:`_intra_group_block`); the negativity test never reads it.
     """
     n = rho.n_qubits
     if k < 1:
@@ -115,19 +132,28 @@ def covariance_matrix(rho: SymmetricState, k: int) -> CovarianceMatrix:
     t_mat = moment_matrix(correlation_tensor(rho, 2 * k))
     c_block = t_mat - np.outer(t_col, t_col)
     c_block = (c_block + c_block.T) / 2.0
+    return CovarianceMatrix(k, c_block, lambda: _intra_group_block(rho, k, t_col))
 
+
+def _intra_group_block(rho: SymmetricState, k: int, t_col: np.ndarray) -> np.ndarray:
+    """A[i, j] = Re Tr[rho_k {s_i, s_j}] / 2 - Tk[i] Tk[j] on the k-qubit reduction.
+
+    Operator products on a shared group need the reduction embedded in the
+    2^k space.  The Gram matrix Tr[rho_k s_i s_j] is one complex matrix
+    product: the strings are Hermitian, so s_j[b, a] = conj(s_j[a, b]).
+    """
     rho_k = dicke_to_computational(reduced_state(rho, k).dicke_matrix)
     strings = pauli_string_stack(k)
+    m = strings.shape[0]
     products = np.matmul(rho_k, strings)
-    gram = np.einsum("iab,jba->ij", products, strings)
+    gram = products.reshape(m, -1) @ strings.reshape(m, -1).conj().T
     sym = (gram + gram.T) / 2.0
     worst_imag = float(np.abs(sym.imag).max())
     if worst_imag > IMAG_ATOL:
         raise ArithmeticError(
             f"intra-group moments should be real; residual imaginary part {worst_imag:g}"
         )
-    a_block = sym.real - np.outer(t_col, t_col)
-    return CovarianceMatrix(k, c_block, a_block)
+    return sym.real - np.outer(t_col, t_col)
 
 
 def full_variance(cm: CovarianceMatrix) -> np.ndarray:
@@ -136,7 +162,10 @@ def full_variance(cm: CovarianceMatrix) -> np.ndarray:
 
 
 def rotate(cm: CovarianceMatrix, r_matrix: np.ndarray) -> CovarianceMatrix:
-    """Conjugate both blocks by the k-fold Kronecker power of a rotation R."""
+    """Conjugate both blocks by the k-fold Kronecker power of a rotation R.
+
+    The rotated A block is built when it is read, as in covariance_matrix.
+    """
     r = np.asarray(r_matrix, dtype=float)
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {r.shape}")
@@ -147,7 +176,7 @@ def rotate(cm: CovarianceMatrix, r_matrix: np.ndarray) -> CovarianceMatrix:
     big = np.eye(1)
     for _ in range(cm.k):
         big = np.kron(big, r)
-    return CovarianceMatrix(cm.k, big @ cm.c_block @ big.T, big @ cm.a_block @ big.T)
+    return CovarianceMatrix(cm.k, big @ cm.c_block @ big.T, lambda: big @ cm.a_block @ big.T)
 
 
 def min_eigenvalue(cm: CovarianceMatrix) -> float:

@@ -19,6 +19,9 @@ import numpy as np
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_EIG_FLOOR = -1e-10
+# Imaginary residual, as a Frobenius norm, below which validate solves the
+# real part only; far below |PSD_EIG_FLOOR|, it cannot move the verdict.
+_REAL_SOLVE_ATOL = 1e-4 * abs(PSD_EIG_FLOOR)
 PURITY_ATOL = 1e-10
 
 TWO_PI = 2.0 * np.pi
@@ -219,13 +222,24 @@ def validate(rho: SymmetricState) -> ValidationReport:
     Purely diagnostic: works on any SymmetricState, including deliberately
     broken ones, and never raises.  The minimum eigenvalue is taken on the
     Hermitian part of the matrix.
+
+    The Hermitian part is first conjugated by the diagonal phase of its
+    column at the largest diagonal entry, which makes a pure state's matrix
+    real.  When the imaginary part left over has a Frobenius norm
+    far below the PSD floor, it bounds the eigenvalue shift (Weyl), so the
+    cheaper real solve is used; otherwise the complex one, on the matrix as
+    given.
     """
     m = rho.dicke_matrix
     herm_defect = float(np.abs(m - m.conj().T).max())
     trace_defect = float(abs(np.trace(m) - 1.0))
     hermitian_part = (m + m.conj().T) / 2.0
-    if not hermitian_part.imag.any():  # real symmetric: same spectrum, cheaper solve
-        hermitian_part = hermitian_part.real
+    pivot = int(np.argmax(hermitian_part.diagonal().real))
+    # np.angle, not col / |col|: the reciprocal of a subnormal entry overflows
+    phase = np.exp(1j * np.angle(hermitian_part[:, pivot]))
+    gauged = phase.conj()[:, None] * hermitian_part * phase[None, :]
+    if np.linalg.norm(gauged.imag) <= _REAL_SOLVE_ATOL:
+        hermitian_part = gauged.real
     min_eig = float(np.linalg.eigvalsh(hermitian_part)[0])
     return ValidationReport(
         hermiticity_defect=herm_defect,

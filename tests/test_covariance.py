@@ -7,7 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.spatial.transform import Rotation
 
-from symcov import oracle
+from symcov import covariance, oracle
+from symcov.cli import main
 from symcov.covariance import (
     CovarianceMatrix,
     MinorCertificate,
@@ -20,13 +21,16 @@ from symcov.covariance import (
     rotate,
     test_entanglement,
 )
+from symcov.scanner import Detector, detector_value
 from symcov.states import (
     BlochDirection,
     ghz_state,
     maximally_mixed_state,
+    noisy_mixture,
     product_state,
     w_state,
 )
+from symcov.tensors import MultiIndex
 
 
 def test_ghz2_c_block_is_bell_correlation_matrix():
@@ -59,6 +63,56 @@ def test_covariance_matches_oracle(rng):
             c_ref, a_ref = oracle.covariance_oracle(fs, k)
             assert_allclose(cm.c_block, c_ref, atol=1e-10)
             assert_allclose(cm.a_block, a_ref, atol=1e-10)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_covariance_matches_oracle_large_groups(k):
+    # k = 5 is where the Gram-matrix product is largest (243 strings of 32 x 32)
+    for seed in (41, 42):
+        rho = oracle.random_symmetric_state(10, seed=seed)
+        cm = covariance_matrix(rho, k)
+        c_ref, a_ref = oracle.covariance_oracle(oracle.embed_full(rho), k)
+        assert_allclose(cm.c_block, c_ref, atol=1e-10)
+        assert_allclose(cm.a_block, a_ref, atol=1e-10)
+
+
+def test_a_block_is_built_once_and_cached():
+    cm = covariance_matrix(w_state(6), 2)
+    first = cm.a_block
+    assert cm.a_block is first
+    with pytest.raises(ValueError):
+        first[0, 0] = 5.0
+
+
+def test_a_block_builder_runs_on_first_read_only():
+    calls = []
+
+    def build():
+        calls.append(1)
+        return np.eye(3)
+
+    cm = CovarianceMatrix(1, np.eye(3), build)
+    assert calls == []
+    assert_allclose(cm.a_block, np.eye(3))
+    assert_allclose(cm.a_block, np.eye(3))
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("bad", ["shape", "asymmetric"])
+@pytest.mark.parametrize("block", ["c", "a"])
+def test_explicit_blocks_are_checked_at_construction(block, bad):
+    wrong = np.eye(4) if bad == "shape" else np.triu(np.ones((3, 3)))
+    blocks = {"c": np.eye(3), "a": np.eye(3), block: wrong}
+    with pytest.raises(ValueError, match=f"{block}_block"):
+        CovarianceMatrix(1, blocks["c"], blocks["a"])
+
+
+@pytest.mark.parametrize("bad", ["shape", "asymmetric"])
+def test_built_a_block_is_checked_on_read(bad):
+    wrong = np.eye(4) if bad == "shape" else np.triu(np.ones((3, 3)))
+    cm = CovarianceMatrix(1, np.eye(3), lambda: wrong)
+    with pytest.raises(ValueError, match="a_block"):
+        cm.a_block
 
 
 def test_covariance_rejects_oversized_group():
@@ -337,3 +391,36 @@ def test_covariance_matrix_blocks_are_readonly():
     cm = covariance_matrix(ghz_state(2), 1)
     with pytest.raises(ValueError):
         cm.c_block[0, 0] = 5.0
+
+
+@pytest.fixture
+def a_block_unbuildable(monkeypatch):
+    """Make building any intra-group block raise."""
+
+    def refuse(k):
+        raise AssertionError(f"the A block was built (k = {k})")
+
+    monkeypatch.setattr(covariance, "pauli_string_stack", refuse)
+
+
+NOISY_W10 = noisy_mixture(w_state(10), 0.8)
+
+CERTIFY_PATH = {
+    "test_entanglement": lambda: [test_entanglement(NOISY_W10, k) for k in range(1, 6)],
+    "min_eig": lambda: detector_value(NOISY_W10, Detector("min_eig", 2)),
+    "diag": lambda: detector_value(NOISY_W10, Detector("diag", 2, MultiIndex.from_string("zz"))),
+}
+
+
+@pytest.mark.parametrize("step", sorted(CERTIFY_PATH))
+def test_certify_path_never_builds_a_block(a_block_unbuildable, step):
+    CERTIFY_PATH[step]()
+
+
+def test_validate_theorem_never_builds_a_block(a_block_unbuildable, capsys):
+    assert main(["validate-theorem", "--n", "6", "--samples", "3", "--seed", "2"]) == 0
+
+
+def test_reading_a_block_builds_it(a_block_unbuildable):
+    with pytest.raises(AssertionError, match="was built"):
+        covariance_matrix(NOISY_W10, 1).a_block

@@ -290,6 +290,35 @@ def test_validate_keeps_imaginary_part():
     assert not report.psd_ok
 
 
+@pytest.mark.parametrize("phi", [0.3, 2.5])
+def test_validate_pure_complex_state_matches_complex_solve(phi):
+    # the phase gauge makes a pure state real; the spectrum must not move
+    rho = product_state(40, BlochDirection(1.0, phi))
+    report = validate(rho)
+    m = rho.dicke_matrix
+    expected = np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0]
+    assert report.ok
+    assert report.min_eigenvalue == pytest.approx(expected, abs=1e-13)
+
+
+def test_validate_mixed_complex_state_keeps_complex_solve(rng):
+    # no diagonal phase makes a generic mixed state real: the complex solve
+    # runs on the matrix as given, so the value is exactly the direct one
+    for _ in range(3):
+        rho = oracle.random_symmetric_state(6, rank=3, seed=rng)
+        m = rho.dicke_matrix
+        expected = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
+        assert validate(rho).min_eigenvalue == expected
+
+
+def test_validate_subnormal_phases():
+    tiny = 5e-324
+    m = np.array([[1.0, tiny * 1j], [-tiny * 1j, 0.0]])
+    report = validate(SymmetricState(1, m))
+    assert np.isfinite(report.min_eigenvalue)
+    assert report.min_eigenvalue == pytest.approx(0.0, abs=1e-300)
+
+
 def test_state_payload_roundtrip(rng):
     rho = oracle.random_symmetric_state(4, seed=rng)
     payload = state_to_payload(rho)
