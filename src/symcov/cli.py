@@ -1,14 +1,18 @@
 """Command-line surface: build states, dump tensors, test negativity, scan thresholds.
 
 Exit codes are a stable contract: 0 = entangled / success, 1 = not detected
-(or an expected reproduction failure), 2 = usage or input error.  Data goes to
-the output stream, diagnostics to the error stream, never mixed.
+(or an expected reproduction failure), 2 = usage or input error, 3 = the
+computation failed (an arithmetic consistency check, a linear-algebra routine
+or an allocation).  Data goes to the output stream, diagnostics to the error
+stream, never mixed; codes 2 and 3 print one ``error:`` line and no data.
+:func:`main` may be called any number of times in one process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -29,6 +33,7 @@ from .scanner import (
 from .states import (
     SymmetricState,
     _description_family,
+    _noisy_base,
     ghz_state,
     noisy_family,
     state_from_description,
@@ -40,6 +45,7 @@ from .tensors import MultiIndex, correlation_tensor, tensor_to_payload
 EXIT_OK = 0
 EXIT_NOT_DETECTED = 1
 EXIT_USAGE = 2
+EXIT_COMPUTATION = 3
 
 
 def _load_description(text: str) -> dict[str, Any]:
@@ -135,7 +141,7 @@ def cmd_scan(args: argparse.Namespace) -> Outcome:
         raise ValueError("scan requires the mixing parameter x to be left free")
     index = None if args.index is None else MultiIndex.from_string(args.index)
     result = scan_threshold(
-        noisy_family(state_from_description(desc["base"])),
+        noisy_family(state_from_description(_noisy_base(desc))),
         Detector(kind=args.detector, k=args.k, index=index),
         tol=args.tol,
         grid=args.grid,
@@ -391,6 +397,7 @@ def cmd_reproduce(args: argparse.Namespace) -> Outcome:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the whole command line; each call builds a new one."""
     parser = argparse.ArgumentParser(
         prog="symcov",
         description="Entanglement tests for permutation-symmetric multiqubit "
@@ -470,8 +477,20 @@ def _render(fmt: str, payload: Any, rows: Callable[[], list[dict[str, Any]]]) ->
     return _format_reproduce_table(rows())  # "table" is offered by reproduce only
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads, built on the first call and reused after it.
+
+    Parsing leaves the parser unchanged, so one instance serves every call.
+    The handlers are bound when it is built: to stub a command, patch what
+    its handler calls (as the tests do with ``_reproduce_rows``), not the
+    ``cmd_*`` function itself.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code, payload, rows = args.handler(args)
         text = _render(args.format, payload, rows)
@@ -480,6 +499,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 handle.write(text + "\n")
         else:
             print(text)
+    # LinAlgError derives from ValueError, so it must be caught first
+    except (ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return EXIT_COMPUTATION
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -297,23 +297,35 @@ def _description_family(desc: Any) -> str:
     return family
 
 
+def _noisy_base(desc: dict[str, Any]) -> Any:
+    """The base of a noisy description, refused unless it names a pure family."""
+    if "base" not in desc:
+        raise ValueError("noisy description needs a 'base' state")
+    base = desc["base"]
+    if _description_family(base) == "noisy":
+        raise ValueError(
+            "a noisy description's base must be a ghz, w, dicke or product "
+            "description, not another noisy one"
+        )
+    return base
+
+
 def state_from_description(desc: dict[str, Any]) -> SymmetricState:
     """Build a state from the family-description document used by the CLI.
 
     Families: {"family": "ghz"|"w"|"dicke", "n_qubits": N, "p": int},
     {"family": "product", "n_qubits": N, "theta": float, "phi": float},
-    {"family": "noisy", "x": float, "base": <pure family description>}.
+    {"family": "noisy", "x": float, "base": <ghz, w, dicke or product description>}.
     N and p must be integers; floats and booleans are refused, not truncated.
     x, theta and phi must be real numbers; booleans and strings are refused.
     Keys a family does not take are refused, not ignored.
     """
     family = _description_family(desc)
     if family == "noisy":
-        if "base" not in desc:
-            raise ValueError("noisy description needs a 'base' state")
+        base = _noisy_base(desc)
         if "x" not in desc or desc["x"] is None:
             raise ValueError("noisy description needs a mixing parameter 'x'")
-        return noisy_mixture(state_from_description(desc["base"]), _real_field(desc, "x"))
+        return noisy_mixture(state_from_description(base), _real_field(desc, "x"))
     try:
         n = _integer_field(desc, "n_qubits")
     except KeyError:

@@ -3,13 +3,17 @@
 import csv
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from symcov import cli
+from symcov import cli, oracle
 from symcov.cli import main
-from symcov.covariance import covariance_matrix, min_eigenvalue
+from symcov.covariance import covariance_matrix, min_eigenvalue, report_to_payload, test_entanglement
 from symcov.states import state_from_payload, w_state
 from symcov.tensors import correlation_tensor
 
@@ -338,3 +342,229 @@ def test_scan_rejects_unknown_family_key(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: unknown key 'y' in a 'noisy' description\n"
+
+
+def _assert_one_error_line(captured):
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+NESTED_NOISY_BASE = '{"family":"noisy","x":0.3,"base":{"family":"ghz","n_qubits":4}}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test", "--state", '{"family":"noisy","x":0.5,"base":' + NESTED_NOISY_BASE + "}", "--k", "1"],
+        ["scan", "--state", '{"family":"noisy","base":' + NESTED_NOISY_BASE + "}", "--k", "1"],
+    ],
+    ids=["test", "scan"],
+)
+def test_nested_noisy_description_is_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    _assert_one_error_line(captured)
+    assert "ghz, w, dicke or product" in captured.err
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        ArithmeticError("imaginary residual 1e-3 exceeds tolerance"),
+        oracle.ConsistencyError("oracle moments should be real"),
+        np.linalg.LinAlgError("Eigenvalues did not converge"),
+        MemoryError(),
+    ],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_computation_failure_exits_3(capsys, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "test_entanglement", fail)
+    code = main(["test", "--state", W6, "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    _assert_one_error_line(captured)
+    assert captured.err == f"error: {str(exc) or type(exc).__name__}\n"
+
+
+# --- one parser per process -------------------------------------------------
+
+
+@pytest.fixture
+def fresh_parser():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_parser_once(capsys, monkeypatch, fresh_parser):
+    calls = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        calls.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    for command in ("state", "tensor", "cov", "test", "validate-theorem"):
+        assert main(COMMANDS[command]) == 0
+    assert main(["test", "--state", GHZ6, "--k", "1"]) == 1
+    assert main(["test", "--state", GHZ6, "--k", "4"]) == 2
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def _stdout(capsys, argv):
+    main(argv)
+    return capsys.readouterr().out
+
+
+def test_test_tolerance_does_not_leak_between_calls(capsys, fresh_parser):
+    loose = json.loads(_stdout(capsys, COMMANDS["test"] + ["--tol", "1e-3"]))
+    plain = json.loads(_stdout(capsys, COMMANDS["test"]))
+    expected = report_to_payload(test_entanglement(w_state(6), 2))["tolerance"]
+    assert plain["tolerance"] == expected
+    assert loose["tolerance"] != expected
+
+
+def test_scan_grid_does_not_leak_between_calls(capsys, fresh_parser):
+    first = _stdout(capsys, COMMANDS["scan"])
+    coarse = _stdout(capsys, COMMANDS["scan"] + ["--grid", "16"])
+    assert _stdout(capsys, COMMANDS["scan"]) == first
+    assert coarse != first
+
+
+def test_format_does_not_leak_between_calls(capsys, fresh_parser):
+    csv_text = _stdout(capsys, COMMANDS["test"] + ["--format", "csv"])
+    assert csv_text.splitlines()[0] == CSV_HEADERS["test"]
+    assert json.loads(_stdout(capsys, COMMANDS["test"]))["entangled"] is True
+
+
+def test_usage_error_after_success(capsys, fresh_parser):
+    assert main(COMMANDS["test"]) == 0
+    capsys.readouterr()
+    code = main(["test", "--state", '{"family":', "--k", "1"])
+    assert code == 2
+    _assert_one_error_line(capsys.readouterr())
+
+
+# --- fuzzing main ----------------------------------------------------------
+
+
+def _mostly(valid, invalid):
+    """valid in about four draws of five, invalid in the rest."""
+    return st.integers(0, 4).flatmap(lambda draw: invalid if draw == 4 else valid)
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.floats(), st.lists(st.integers(0, 3), max_size=2)
+)
+_N = _mostly(st.one_of(st.sampled_from([4, 8, 12, 16]), st.integers(2, 16)), st.one_of(st.integers(-1, 1), _JUNK))
+_ANGLE = _mostly(st.floats(-4.0, 4.0), _JUNK)
+_PURE = st.one_of(
+    st.fixed_dictionaries({"family": st.sampled_from(["ghz", "w"]), "n_qubits": _N}),
+    st.fixed_dictionaries(
+        {"family": st.just("dicke"), "n_qubits": _N, "p": _mostly(st.integers(0, 8), _JUNK)}
+    ),
+    st.fixed_dictionaries(
+        {"family": st.just("product"), "n_qubits": _N, "theta": _ANGLE}, optional={"phi": _ANGLE}
+    ),
+)
+
+
+def _noisy(base, x):
+    return st.fixed_dictionaries({"family": st.just("noisy"), "base": _mostly(base, _JUNK), **x})
+
+
+_X = {"x": _mostly(st.floats(0.0, 1.0), st.one_of(st.floats(-0.5, 1.5), _JUNK))}
+_DESCRIPTION = st.one_of(
+    _PURE,
+    _noisy(_PURE, _X),
+    _noisy(_noisy(_PURE, _X), _X),
+    st.dictionaries(st.sampled_from(["family", "n_qubits", "x", "base", "y"]), _JUNK, max_size=3),
+)
+_SCAN_DESCRIPTION = _mostly(_noisy(_PURE, {}), _DESCRIPTION)
+
+
+def _inline(descriptions):
+    """Descriptions as inline JSON, whole or cut short; text not starting with "{"
+    would be read as a file path, so malformed text keeps that brace."""
+    texts = descriptions.map(json.dumps)
+    cut = texts.flatmap(lambda text: st.integers(1, len(text) - 1).map(lambda i: text[:i]))
+    return _mostly(texts, st.one_of(cut, st.text(max_size=8).map(lambda text: "{" + text))).map(
+        lambda text: ["--state", text]
+    )
+
+
+def _flag(name, valid):
+    """A flag with a well-typed value, or one argparse refuses."""
+    return _mostly(valid.map(str), st.sampled_from(["", "x", "1.5", "nan"])).map(
+        lambda value: [name, value]
+    )
+
+
+def _optional(flag):
+    return st.one_of(st.just([]), flag)
+
+
+_FORMAT = _optional(st.sampled_from(["json", "csv"]).map(lambda f: ["--format", f]))
+_TOL = _flag("--tol", _mostly(st.just(1e-9), st.sampled_from([0.0, -1.0, float("nan"), float("inf")])))
+_K = _flag("--k", _mostly(st.integers(1, 4), st.integers(-1, 0)))
+
+
+def _command(name, *flags):
+    return st.tuples(st.just([name]), *flags, _FORMAT).map(lambda parts: sum(parts, []))
+
+
+# N <= 16, k <= 4, l <= 8; scans keep a coarse grid and bracket so each call stays cheap
+_ARGV = st.one_of(
+    _command("state", _inline(_DESCRIPTION)),
+    _command("tensor", _inline(_DESCRIPTION), _flag("--l", _mostly(st.integers(1, 8), st.integers(-1, 0)))),
+    _command("cov", _inline(_DESCRIPTION), _K),
+    _command("test", _inline(_DESCRIPTION), _K, _optional(_TOL)),
+    _command(
+        "scan",
+        _inline(_SCAN_DESCRIPTION),
+        _K,
+        _optional(_flag("--detector", st.sampled_from(["min_eig", "diag", "moment_diag"]))),
+        _optional(st.text("xyzw", min_size=1, max_size=4).map(lambda index: ["--index", index])),
+        _flag("--grid", _mostly(st.sampled_from([8, 16]), st.just(4))),
+        _flag("--tol", _mostly(st.sampled_from([1e-2, 1e-3]), st.sampled_from([0.0, float("nan")]))),
+    ),
+    _command(
+        "validate-theorem",
+        _flag("--n", _mostly(st.integers(2, 8), st.integers(-1, 1))),
+        _flag("--samples", st.integers(0, 2)),
+        _optional(_flag("--terms", st.integers(0, 3))),
+        _optional(_TOL),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=_ARGV)
+def test_main_fuzz_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused a flag: usage, then its error line
+            assert exc.code == 2
+            assert out.getvalue() == ""
+            assert sum(": error: " in line for line in err.getvalue().splitlines()) == 1
+            return
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert out.getvalue() and err.getvalue() == ""

@@ -352,6 +352,10 @@ def test_state_from_description_families():
     assert_allclose(product.dicke_matrix, product_state(2, BlochDirection(np.pi / 2)).dicke_matrix)
 
 
+# a noisy description that is a pure state (x = 1), as a base for nesting
+NOISY_GHZ4_PURE = {"family": "noisy", "x": 1, "base": {"family": "ghz", "n_qubits": 4}}
+
+
 @pytest.mark.parametrize(
     "desc",
     [
@@ -381,10 +385,19 @@ def test_state_from_description_families():
         {"family": "noisy", "x": 0.5, "n_qubits": 4, "base": {"family": "w", "n_qubits": 4}},
         {"family": "noisy", "x": 0.5, "base": {"family": "w", "n_qubits": 4, "phi": 0.1}},
         {"family": ["w"], "n_qubits": 4},
+        {"family": "noisy", "x": 0.5, "base": NOISY_GHZ4_PURE},
+        {"family": "noisy", "x": 0.5, "base": {**NOISY_GHZ4_PURE, "x": 0.3}},
+        {"family": "noisy", "x": 0.5, "base": {"family": "noisy", "base": {"family": "w", "n_qubits": 4}}},
     ],
 )
 def test_state_from_description_rejects_malformed(desc):
     with pytest.raises(ValueError):
+        state_from_description(desc)
+
+
+def test_state_from_description_refuses_nested_noisy():
+    desc = {"family": "noisy", "x": 0.5, "base": {**NOISY_GHZ4_PURE, "x": 0.3}}
+    with pytest.raises(ValueError, match="must be a ghz, w, dicke or product description"):
         state_from_description(desc)
 
 
