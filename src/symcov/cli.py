@@ -48,13 +48,23 @@ EXIT_USAGE = 2
 EXIT_COMPUTATION = 3
 
 
-def _load_description(text: str) -> dict[str, Any]:
-    """Parse a state description given inline as JSON or as a path to a JSON file."""
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        return json.loads(stripped)
-    with open(text, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+def _load_description(text: str) -> Any:
+    """Parse a state description given inline as JSON or as a path to a JSON file.
+
+    The text is read as JSON first and as a path only when it does not parse,
+    unless it starts like an object or array, whose JSON error is reported.
+    Whether the result is an object is checked where it is read.
+    """
+    try:
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError:
+            if text.lstrip().startswith(("{", "[")):
+                raise
+        with open(text, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except RecursionError:
+        raise ValueError("state description is nested too deeply") from None
 
 
 # What a command hands to main: exit code, JSON payload, and a builder of the

@@ -68,7 +68,7 @@ class SymmetricState:
     dicke_matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        n = int(self.n_qubits)
+        n = _integer("n_qubits", self.n_qubits)
         if n < 1:
             raise ValueError(f"need at least one qubit, got {n}")
         matrix = np.array(self.dicke_matrix, dtype=complex)
@@ -265,11 +265,10 @@ _DESCRIPTION_KEYS = {
 }
 
 
-def _integer_field(desc: dict[str, Any], key: str) -> int:
-    """An integer-valued description field; floats and booleans are refused."""
-    value = desc[key]
+def _integer(name: str, value: Any) -> int:
+    """value as an int; floats (even integral ones) and booleans are refused."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+        raise ValueError(f"{name!r} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -281,10 +280,23 @@ def _real_field(desc: dict[str, Any], key: str) -> float:
     return float(value)
 
 
+def _json_type(value: Any) -> str:
+    """The JSON name of a parsed value's type, or the Python one for other objects."""
+    if value is None:
+        return "null"
+    for kind, name in ((bool, "boolean"), (numbers.Number, "number"), (str, "string"),
+                       (list, "array")):
+        if isinstance(value, kind):
+            return name
+    return type(value).__name__
+
+
 def _description_family(desc: Any) -> str:
     """The family of a description that is an object with known family and keys."""
     if not isinstance(desc, dict):
-        raise ValueError(f"state description must be an object, got {type(desc)}")
+        raise ValueError(
+            f"a state description must be a JSON object, got {_json_type(desc)}"
+        )
     try:
         family = desc["family"]
     except KeyError:
@@ -327,7 +339,7 @@ def state_from_description(desc: dict[str, Any]) -> SymmetricState:
             raise ValueError("noisy description needs a mixing parameter 'x'")
         return noisy_mixture(state_from_description(base), _real_field(desc, "x"))
     try:
-        n = _integer_field(desc, "n_qubits")
+        n = _integer("n_qubits", desc["n_qubits"])
     except KeyError:
         raise ValueError(f"family {family!r} needs 'n_qubits'") from None
     if family == "ghz":
@@ -337,7 +349,7 @@ def state_from_description(desc: dict[str, Any]) -> SymmetricState:
     if family == "dicke":
         if "p" not in desc:
             raise ValueError("dicke description needs an excitation count 'p'")
-        return dicke_state(n, _integer_field(desc, "p"))
+        return dicke_state(n, _integer("p", desc["p"]))
     if "theta" not in desc:
         raise ValueError("product description needs a polar angle 'theta'")
     phi = _real_field(desc, "phi") if "phi" in desc else 0.0
@@ -354,8 +366,8 @@ def state_to_payload(rho: SymmetricState) -> dict[str, Any]:
 
 
 def state_from_payload(payload: dict[str, Any]) -> SymmetricState:
-    """Inverse of :func:`state_to_payload`."""
-    n = int(payload["n_qubits"])
+    """Inverse of :func:`state_to_payload`; n_qubits must be an integer, not a bool."""
+    n = _integer("n_qubits", payload["n_qubits"])
     pairs = payload["dicke_matrix"]
     if len(pairs) != (n + 1) ** 2:
         raise ValueError(

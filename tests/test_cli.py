@@ -89,6 +89,59 @@ def test_exit_code_usage_error_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _single_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    return lines[0]
+
+
+def test_missing_description_file_reports_os_error(capsys):
+    assert main(["test", "--state", "/nonexistent/state.json", "--k", "1"]) == 2
+    assert _single_error(capsys) == (
+        "error: [Errno 2] No such file or directory: '/nonexistent/state.json'"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, kind",
+    [("null", "null"), ("42", "number"), ('[{"family":"w","n_qubits":4}]', "array")],
+)
+def test_non_object_description_is_usage_error(capsys, text, kind):
+    assert main(["test", "--state", text, "--k", "1"]) == 2
+    assert _single_error(capsys) == (
+        f"error: a state description must be a JSON object, got {kind}"
+    )
+
+
+@pytest.mark.parametrize("text", ["[" * 5000 + "]" * 5000, '{"a":' * 5000 + "1" + "}" * 5000])
+def test_deeply_nested_description_is_usage_error(capsys, text):
+    assert main(["state", "--state", text]) == 2
+    assert _single_error(capsys) == "error: state description is nested too deeply"
+
+
+def test_non_object_description_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text("[" + W6 + "]")
+    assert main(["test", "--state", str(path), "--k", "1"]) == 2
+    assert _single_error(capsys) == "error: a state description must be a JSON object, got array"
+
+
+@pytest.mark.parametrize(
+    "argv, order",
+    [
+        (["test", "--state", '{"family":"ghz","n_qubits":14}', "--k", "7"], 14),
+        (["tensor", "--state", '{"family":"w","n_qubits":20}', "--l", "13"], 13),
+    ],
+)
+def test_order_cap_names_the_moment_order(capsys, argv, order):
+    assert main(argv) == 2
+    assert _single_error(capsys) == (
+        f"error: moment order {order} exceeds the largest supported order 12"
+    )
+
+
 def test_state_json_payload_roundtrip(capsys):
     code, payload = _run_json(capsys, ["state", "--state", W6])
     assert code == 0

@@ -426,6 +426,28 @@ def test_state_from_description_accepts_integer_reals():
         )
 
 
+@pytest.mark.parametrize("n_qubits", [True, 1.7, 1.0, "1", None])
+def test_state_from_payload_refuses_non_integer_n_qubits(n_qubits):
+    payload = {"n_qubits": n_qubits, "dicke_matrix": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}
+    with pytest.raises(ValueError, match="'n_qubits' must be an integer"):
+        state_from_payload(payload)
+
+
+@pytest.mark.parametrize("n_qubits", [2.9, 2.0, np.float64(2.0), True])
+def test_symmetric_state_refuses_non_integer_n_qubits(n_qubits):
+    with pytest.raises(ValueError, match="'n_qubits' must be an integer"):
+        SymmetricState(n_qubits, np.eye(3) / 3.0)
+
+
+@pytest.mark.parametrize("n_qubits", [np.int64(2), np.int32(2), np.uint8(2)])
+def test_numpy_integer_n_qubits_stay_valid(n_qubits):
+    rho = SymmetricState(n_qubits, np.eye(3) / 3.0)
+    assert rho.n_qubits == 2 and type(rho.n_qubits) is int
+    back = state_from_payload({**state_to_payload(rho), "n_qubits": n_qubits})
+    assert back.n_qubits == 2
+    assert_allclose(back.dicke_matrix, rho.dicke_matrix)
+
+
 def test_symmetric_state_shape_check():
     with pytest.raises(ValueError):
         SymmetricState(3, np.eye(3))

@@ -1,14 +1,16 @@
 """Correlation tensors, multi-index encoding and moment layouts."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from symcov import oracle
+from symcov._pauli import SIGMA, dicke_basis_matrix
 from symcov.states import ghz_state, reduced_state, w_state
 from symcov.tensors import (
     CorrelationTensor,
@@ -71,6 +73,8 @@ def test_correlation_tensor_order_bounds():
         correlation_tensor(w_state(3), 0)
     with pytest.raises(ValueError):
         correlation_tensor(w_state(3), 4)
+    with pytest.raises(ValueError, match="moment order 13 exceeds the largest supported order 12"):
+        correlation_tensor(w_state(20), 13)
 
 
 def test_moment_column_layout():
@@ -141,6 +145,62 @@ def test_matches_full_space_oracle(rng):
                 oracle.correlation_tensor_oracle(fs, order),
                 atol=1e-10,
             )
+
+
+def _one_block_tensor(rho, order):
+    """Order-l moments from the whole 2^l x 2^l embedding, contracted last pair first."""
+    basis = dicke_basis_matrix(order)
+    full = basis @ reduced_state(rho, order).dicke_matrix @ basis.conj().T
+    block = full.reshape((2,) * (2 * order))
+    for remaining in range(order, 0, -1):
+        block = np.tensordot(
+            block, SIGMA, axes=([remaining - 1, 2 * remaining - 1], [2, 1])
+        )
+    return block.transpose(tuple(range(order - 1, -1, -1))).real
+
+
+@pytest.mark.parametrize("n", [10, 16, 24])
+def test_tiles_match_one_block_contraction_bitwise(n):
+    rho = oracle.random_symmetric_state(n, seed=n)
+    for order in range(1, 11):
+        assert_array_equal(correlation_tensor(rho, order).values, _one_block_tensor(rho, order))
+
+
+def test_tiled_orders_match_full_space_oracle():
+    rho = oracle.random_symmetric_state(12, seed=12)
+    fs = oracle.embed_full(rho)
+    for order in (10, 11, 12):
+        assert_allclose(
+            correlation_tensor(rho, order).values,
+            oracle.correlation_tensor_oracle(fs, order),
+            atol=1e-10,
+        )
+
+
+@pytest.mark.parametrize("n", [16, 30])
+def test_contracting_two_slots_lowers_the_order(n):
+    # sum_a sigma_a x sigma_a = 2 SWAP - 1 is the identity on two symmetric
+    # qubits, so tracing T_{l+2} over its last two slots gives T_l
+    rho = oracle.random_symmetric_state(n, seed=n)
+    for order in (8, 9, 10):
+        high = correlation_tensor(rho, order + 2).values
+        assert_allclose(
+            np.trace(high, axis1=-2, axis2=-1),
+            correlation_tensor(rho, order).values,
+            atol=1e-12,
+        )
+
+
+def test_order_12_working_memory_stays_bounded():
+    rho = oracle.random_symmetric_state(12, seed=3)
+    dicke_basis_matrix(12)  # the cached embedding is not working memory
+    tracemalloc.start()
+    try:
+        correlation_tensor(rho, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 def test_tensor_payload_roundtrip():
