@@ -21,7 +21,13 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from . import oracle
-from .covariance import covariance_matrix, min_eigenvalue, report_to_payload, test_entanglement
+from .covariance import (
+    _is_negative,
+    covariance_matrix,
+    min_eigenvalue,
+    report_to_payload,
+    test_entanglement,
+)
 from .scanner import (
     Detector,
     _bracket_sign_change,
@@ -149,6 +155,8 @@ def cmd_scan(args: argparse.Namespace) -> Outcome:
         raise ValueError("scan expects a 'noisy' family description with x left free")
     if desc.get("x") is not None:
         raise ValueError("scan requires the mixing parameter x to be left free")
+    if args.reference is not None and not np.isfinite(args.reference):
+        raise ValueError(f"reference must be finite, got {args.reference}")
     index = None if args.index is None else MultiIndex.from_string(args.index)
     result = scan_threshold(
         noisy_family(state_from_description(_noisy_base(desc))),
@@ -183,7 +191,7 @@ def cmd_validate_theorem(args: argparse.Namespace) -> Outcome:
         terms = args.terms or (i % 5) + 1
         _, rho = oracle.sample_separable(args.n, terms, oracle.derive_seed(args.seed, i))
         values += [min_eigenvalue(covariance_matrix(rho, k)) for k in range(1, args.n // 2 + 1)]
-    violations = sum(value < -args.tol for value in values)
+    violations = sum(_is_negative(value, args.tol) for value in values)
     payload = {
         "n_qubits": args.n,
         "samples": args.samples,

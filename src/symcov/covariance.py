@@ -28,6 +28,15 @@ IMAG_ATOL = 1e-10
 DEFAULT_TOL = 1e-9
 
 
+# The one rule for "negative", shared by the negativity test, both threshold
+# scans and validate-theorem.  An absolute cutoff is enough: every moment lies
+# in [-1, 1], so |C_ij| <= 2 and ||C|| <= 2 * 3^k, and the eigensolver's
+# rounding stays below about 1e-12 even at k = 6.
+def _is_negative(value: Any, tol: float = DEFAULT_TOL) -> Any:
+    """value < -tol, elementwise for arrays."""
+    return value < -tol
+
+
 class CovarianceMatrix:
     """Blocks of the order-2k variance matrix for two k-qubit groups.
 
@@ -198,7 +207,7 @@ def principal_minor_search(
     c = cm.c_block
     side = c.shape[0]
     diag = np.diagonal(c)
-    negative = np.flatnonzero(diag < -tol)
+    negative = np.flatnonzero(_is_negative(diag, tol))
     if negative.size:
         i = int(negative[0])
         return MinorCertificate((i,), float(c[i, i]))
@@ -207,13 +216,13 @@ def principal_minor_search(
         # itertools.combinations would visit the pairs in.
         rows, cols = np.triu_indices(side, 1)
         minors = diag[rows] * diag[cols] - c[rows, cols] * c[cols, rows]
-        for hit in np.flatnonzero(minors < -tol):
+        for hit in np.flatnonzero(_is_negative(minors, tol)):
             certificate = _checked_minor(c, (int(rows[hit]), int(cols[hit])))
             if certificate is not None:
                 return certificate
     for order in range(3, min(max_order, side) + 1):
         for idx in itertools.combinations(range(side), order):
-            if np.linalg.det(c[np.ix_(idx, idx)]) < -tol:
+            if _is_negative(np.linalg.det(c[np.ix_(idx, idx)]), tol):
                 certificate = _checked_minor(c, idx)
                 if certificate is not None:
                     return certificate
@@ -233,19 +242,19 @@ def test_entanglement(
 
     Runs the cheap minor search first (orders 1 and 2) to surface an
     experimentally small certificate, then the eigensolver as the definitive
-    decision.  The verdict uses a scale-aware cutoff tol * max(1, max|C|), so
-    rounding noise on a large matrix cannot fake a detection; a negative
+    decision: the state is reported entangled when the least eigenvalue is
+    below -tol, the same absolute rule the threshold scans apply (see
+    :func:`_is_negative`), and ``tolerance`` records that cutoff.  A negative
     verdict is reported with the minor certificate when one fired, otherwise
     with the minimizing eigenvector as witness.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     cm = covariance_matrix(rho, k)
-    cutoff = tol * max(1.0, float(np.abs(cm.c_block).max()))
-    minor = principal_minor_search(cm, max_order=2, tol=cutoff)
+    minor = principal_minor_search(cm, max_order=2, tol=tol)
     eigvals, eigvecs = np.linalg.eigh(cm.c_block)
     lam = float(eigvals[0])
-    entangled = lam < -cutoff
+    entangled = _is_negative(lam, tol)
     certificate: Optional[Certificate] = None
     if entangled:
         if minor is not None and minor.value < 0.0:
@@ -259,7 +268,7 @@ def test_entanglement(
         min_eigenvalue=lam,
         entangled=entangled,
         certificate=certificate,
-        tolerance=cutoff,
+        tolerance=tol,
     )
 
 

@@ -37,7 +37,12 @@ class ConsistencyError(ArithmeticError):
 
 @dataclass
 class FullState:
-    """Dense 2^N x 2^N density matrix on the computational basis."""
+    """Dense 2^N x 2^N density matrix on the computational basis.
+
+    A complex array given as the matrix is taken over, not copied: it is made
+    read-only in place, so the caller must not write to it afterwards.  Any
+    other input is converted to a new complex array.
+    """
 
     n_qubits: int
     matrix: np.ndarray
@@ -48,7 +53,7 @@ class FullState:
             raise ValueError(
                 f"full-space states support 1..{MAX_FULL_QUBITS} qubits, got {n}"
             )
-        matrix = np.array(self.matrix, dtype=complex)
+        matrix = np.asarray(self.matrix, dtype=complex)
         if matrix.shape != (1 << n, 1 << n):
             raise ValueError(
                 f"matrix must be ({1 << n}, {1 << n}), got {matrix.shape}"
@@ -106,7 +111,8 @@ def pauli_transform(matrix: np.ndarray) -> np.ndarray:
 
     Returns a real (4,) * m array indexed 0 = identity, 1 = x, 2 = y, 3 = z
     per qubit, leftmost qubit first.  The matrix is contracted one qubit at a
-    time against (I, X, Y, Z), O(m 4^m) in total.
+    time against (I, X, Y, Z), O(m 4^m) in total, between two buffers the size
+    of the matrix, so the working memory is twice the matrix plus the result.
     """
     m = np.asarray(matrix)
     dim = m.shape[0] if m.ndim == 2 else 0
@@ -115,10 +121,14 @@ def pauli_transform(matrix: np.ndarray) -> np.ndarray:
         raise ValueError(f"need a 2^m x 2^m matrix with m >= 1, got shape {m.shape}")
     # (r_1..r_m, c_1..c_m) -> (r_1 c_1, ..., r_m c_m): one length-4 axis per qubit
     order = np.arange(2 * n).reshape(2, n).T.ravel()
-    values = m.reshape((2,) * (2 * n)).transpose(order).reshape((4,) * n)
+    values = np.empty((4,) * n, dtype=complex)
+    np.copyto(values.reshape((2,) * (2 * n)), m.reshape((2,) * (2 * n)).transpose(order))
+    spare = np.empty_like(values)
     for _ in range(n):
         # contract the leading qubit; its Pauli axis is appended at the end
-        values = np.tensordot(values, _PAULI_TRACE_MAP, axes=(0, 1))
+        np.matmul(values.reshape(4, -1).T, _PAULI_TRACE_MAP.T, out=spare.reshape(-1, 4))
+        values, spare = spare, values
+    del spare  # free it before the real part is copied out
     residual = float(np.abs(values.imag).max())
     if residual > IMAG_ATOL:
         raise ConsistencyError(

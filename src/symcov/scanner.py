@@ -13,15 +13,11 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .covariance import covariance_matrix, min_eigenvalue
+from .covariance import _is_negative, covariance_matrix, min_eigenvalue
 from .states import SymmetricState
 from .tensors import MultiIndex, correlation_tensor, moment_matrix
 
 DETECTOR_KINDS = ("min_eig", "diag", "moment_diag")
-
-# Detector values carry rounding noise around 1e-15; a grid point only counts
-# as negative when it clears this floor.
-SIGN_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,10 +56,12 @@ class ScanResult:
     """Outcome of a threshold scan.
 
     threshold is the bracket midpoint after bisection (None when the detector
-    never goes negative on the grid); the bracket endpoints satisfy
-    detector >= 0 at x_lo and detector < 0 at x_hi, re-verified on emission.
-    A family already negative at x = 0 degenerates to threshold 0 with the
-    empty bracket (0, 0).
+    never goes negative on the grid).  "Negative" is the rule the negativity
+    test uses, detector < -DEFAULT_TOL: the detector is not negative at x_lo
+    and is negative at x_hi, both re-verified on emission.  For a min_eig
+    detector, ``test`` at the same k thus reports x_lo not detected and x_hi
+    entangled.  A family already negative at x = 0 degenerates to threshold 0
+    with the empty bracket (0, 0).
     """
 
     detector: Detector
@@ -104,10 +102,12 @@ def _bracket_sign_change(
 ) -> tuple[Optional[tuple[float, float]], bool]:
     """Bracket the first x in [0, 1] where value turns negative, and grid smoothness.
 
-    A uniform grid keeps the smallest sign-change bracket, bisection shrinks
-    it below tol or to adjacent floats, and both ends are re-evaluated before
-    the bracket is returned.  The bracket is None when no grid point is
-    negative and (0, 0) when x = 0 already is.
+    Every sign test (grid, bisection, re-verification) is the negativity
+    test's own rule, value < -DEFAULT_TOL.  A uniform grid keeps the smallest
+    sign-change bracket, bisection shrinks it below tol or to adjacent floats,
+    and both ends are re-evaluated before the bracket is returned.  The
+    bracket is None when no grid point is negative and (0, 0) when x = 0
+    already is.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
@@ -116,7 +116,7 @@ def _bracket_sign_change(
     xs = np.linspace(0.0, 1.0, grid)
     values = np.array([value(x) for x in xs])
     smooth = _grid_is_smooth(values)
-    negative = np.flatnonzero(values < -SIGN_EPS)
+    negative = np.flatnonzero(_is_negative(values))
     if negative.size == 0:
         return None, smooth
     first = int(negative[0])
@@ -127,11 +127,11 @@ def _bracket_sign_change(
         mid = (lo + hi) / 2.0
         if not lo < mid < hi:
             break  # lo and hi are adjacent floats
-        if value(mid) < -SIGN_EPS:
+        if _is_negative(value(mid)):
             hi = mid
         else:
             lo = mid
-    if value(lo) < -SIGN_EPS or value(hi) >= -SIGN_EPS:
+    if _is_negative(value(lo)) or not _is_negative(value(hi)):
         raise ArithmeticError(
             f"bracket signs failed re-verification at ({lo}, {hi})"
         )
@@ -177,8 +177,13 @@ class AnalyticThresholds:
     (x, ..., x, y) turns negative, 1/N^2.
     w_diag: same for the noisy W moment diagonal at (z, ..., z), 1/(N+2).
     w_pair: published closed form N^2/(N^2 + 12) for the two-qubit
-    entanglement of a noisy W state; direct computation disagrees with it for
-    N > 2, so it is carried for comparison and flagged downstream.
+    entanglement of a noisy W state.  It is the threshold of the linearly
+    mixed covariances: with C(noise) = I/3 and C_zz(W) = -4/N^2, the zz entry
+    of (1 - x) C(noise) + x C(W) turns negative exactly there.  The covariance
+    of the mixture also carries the PSD term x(1 - x) dt dt^T (dt the change of
+    the moment column), which vanishes only at N = 2, so direct computation
+    disagrees for N > 2; the form is carried for comparison and flagged
+    downstream.
     """
 
     n_qubits: int

@@ -388,6 +388,16 @@ def test_non_finite_tolerance_is_usage_error(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("reference", ["nan", "inf", "-inf"])
+def test_scan_refuses_non_finite_reference(capsys, reference):
+    # NaN would print as invalid JSON, and inf would land in the CSV
+    code = main(["scan", "--state", NOISY_GHZ4, "--k", "2", f"--reference={reference}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: reference must be finite, got {float(reference)}\n"
+
+
 def test_scan_rejects_unknown_family_key(capsys):
     desc = '{"family":"noisy","base":{"family":"ghz","n_qubits":4},"y":0.5}'
     code = main(["scan", "--state", desc, "--k", "2"])

@@ -1,5 +1,6 @@
 """Covariance blocks, the variance matrix, rotations and the negativity test."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -51,6 +52,28 @@ def test_product_states_have_zero_inter_group_covariance(rng):
         for k in range(1, n // 2 + 1):
             cm = covariance_matrix(rho, k)
             assert np.abs(cm.c_block).max() <= 1e-12
+
+
+def _bloch_vector(direction: BlochDirection) -> np.ndarray:
+    theta, phi = direction.theta, direction.phi
+    return np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+
+
+@pytest.mark.parametrize("n", [4, 9, 50, 200])
+def test_separable_covariance_is_the_covariance_of_directions(n):
+    # The paper's reason C >= 0: a mixture of coherent states sum_i w_i |n_i><n_i|^N
+    # has moment column t_i = n_i^(x k) per term, so C is the covariance of the
+    # t_i under the weights, sum_i w_i t_i t_i^T - tbar tbar^T, exactly.  One
+    # term is a single product state, whose C is 0 (checked up to N = 200, k = 5).
+    for k in range(1, min(5, n // 2) + 1):
+        for terms in (1, 3, 5):
+            ensemble, rho = oracle.sample_separable(n, terms, seed=1000 * n + 10 * k + terms)
+            t = np.array([
+                functools.reduce(np.kron, [_bloch_vector(d)] * k) for d in ensemble.directions
+            ])
+            t_bar = ensemble.weights @ t
+            expected = (t.T * ensemble.weights) @ t - np.outer(t_bar, t_bar)
+            assert_allclose(covariance_matrix(rho, k).c_block, expected, rtol=0, atol=1e-13)
 
 
 def test_covariance_matches_oracle(rng):

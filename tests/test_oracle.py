@@ -5,6 +5,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,27 @@ def test_oracle_tensor_matches_compact_path(rng):
             correlation_tensor(rho, order).values,
             atol=1e-10,
         )
+
+
+def test_order_12_oracle_memory_stays_bounded():
+    # the 12-qubit matrix is 256 MiB: the state keeps it without a copy, and
+    # the transform adds one reordered copy and one buffer of the same size
+    tracemalloc.start()
+    try:
+        fs = oracle.embed_full(w_state(12))
+        oracle.correlation_tensor_oracle(fs, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 800 * 2**20
+
+
+def test_full_state_takes_over_a_complex_matrix():
+    matrix = np.eye(4, dtype=complex) / 4.0
+    fs = oracle.FullState(2, matrix)
+    assert fs.matrix is matrix and not matrix.flags.writeable
+    real = np.eye(4) / 4.0
+    assert oracle.FullState(2, real).matrix is not real and real.flags.writeable
 
 
 def test_ptrace_full_matches_dicke_reduction(rng):
